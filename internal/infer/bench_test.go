@@ -51,24 +51,43 @@ func benchCorpus(n, length, vocab int) (srcs, refs [][]int) {
 
 const benchBatch = 64
 
-// BenchmarkScoreSentenceF64 is the pre-batching baseline: the float64
-// training model scoring one sentence at a time (caching off — distinct
-// sentences, as in anomaly scoring of novel windows).
+// BenchmarkScoreSentenceF64 times float64 scoring one sentence at a time
+// (caching off — distinct sentences, as in anomaly scoring of novel
+// windows): "engine" is the F64 inference engine every serving path uses,
+// "nmt" the training model's reference decode it is pinned bit-identical to.
 func BenchmarkScoreSentenceF64(b *testing.B) {
-	m, err := nmt.LoadModel(benchState(b))
-	if err != nil {
-		b.Fatal(err)
-	}
-	m.SetTranslationCaching(false)
 	srcs, refs := benchCorpus(benchBatch, 12, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range srcs {
-			nmt.ScoreSentence(m, srcs[j], refs[j])
+	b.Run("engine", func(b *testing.B) {
+		m, err := FromState(benchState(b), F64)
+		if err != nil {
+			b.Fatal(err)
 		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchBatch), "ns/sentence")
+		m.SetTranslationCaching(false)
+		m.ScoreSentence(srcs[0], refs[0]) // warm the pooled workspace
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for j := range srcs {
+				m.ScoreSentence(srcs[j], refs[j])
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchBatch), "ns/sentence")
+	})
+	b.Run("nmt", func(b *testing.B) {
+		m, err := nmt.LoadModel(benchState(b))
+		if err != nil {
+			b.Fatal(err)
+		}
+		m.SetTranslationCaching(false)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for j := range srcs {
+				nmt.ScoreSentence(m, srcs[j], refs[j])
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchBatch), "ns/sentence")
+	})
 }
 
 func benchScoreBatch(b *testing.B, prec Precision) {
@@ -88,10 +107,11 @@ func benchScoreBatch(b *testing.B, prec Precision) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchBatch), "ns/sentence")
 }
 
-// BenchmarkScoreBatch measures batched GEMM scoring at each inference
-// precision; compare ns/sentence against BenchmarkScoreSentenceF64 for the
-// headline speedup (cmd/benchjson publishes both in BENCH_score.json).
+// BenchmarkScoreBatch measures batched GEMM scoring at each weight format;
+// compare ns/sentence against BenchmarkScoreSentenceF64 for the batching and
+// precision speedups (cmd/benchjson publishes both in BENCH_score.json).
 func BenchmarkScoreBatch(b *testing.B) {
+	b.Run("f64", func(b *testing.B) { benchScoreBatch(b, F64) })
 	b.Run("f32", func(b *testing.B) { benchScoreBatch(b, F32) })
 	b.Run("int8", func(b *testing.B) { benchScoreBatch(b, Int8) })
 }

@@ -5,26 +5,25 @@ import (
 	"fmt"
 
 	"mdes/internal/bleu"
-	"mdes/internal/mat"
 	"mdes/internal/nmt"
 	"mdes/internal/nn"
 )
 
-// transCacheCap mirrors the float64 model's cache bound: when full, the whole
+// transCacheCap mirrors the training model's cache bound: when full, the whole
 // map is dropped (cheap, and repeat-heavy event languages re-warm instantly).
 const transCacheCap = 4096
 
-// transKey packs a token sequence into a map key (same varint scheme as the
-// training model's cache). It allocates — the cache path trades allocations
-// for skipped decodes; the alloc-free guarantee covers cache-off scoring.
-func transKey(toks []int) string {
-	var tmp [binary.MaxVarintLen64]byte
-	buf := make([]byte, 0, 2*len(toks))
+// transKey packs a token sequence into the workspace's key scratch (same
+// varint scheme as the training model's cache) and returns it. Callers index
+// the cache with string(key), which Go performs without allocating on
+// lookups; only inserting a new translation copies the key.
+func (w *ws) transKey(toks []int) []byte {
+	buf := w.key[:0]
 	for _, t := range toks {
-		n := binary.PutVarint(tmp[:], int64(t))
-		buf = append(buf, tmp[:n]...)
+		buf = binary.AppendVarint(buf, int64(t))
 	}
-	return string(buf)
+	w.key = buf
+	return buf
 }
 
 // ScoreBatch scores n sentences against this pair model: out[i] is the
@@ -56,8 +55,8 @@ func (m *Model) ScoreSentence(src, ref []int) float64 {
 }
 
 // Translate greedily decodes one source sentence, returning target token ids
-// (no BOS/EOS) in a fresh slice the caller may keep. Matches the float64
-// model's Translate up to precision.
+// (no BOS/EOS) in a fresh slice the caller may keep. Matches the training
+// model's Translate exactly at F64, up to precision at F32 and Int8.
 func (m *Model) Translate(src []int) []int {
 	if len(src) == 0 {
 		return nil
@@ -118,7 +117,7 @@ func (m *Model) translateGroup(w *ws, srcs [][]int, group []int, hyps [][]int) {
 	if cacheOn {
 		miss = w.intsBuf(len(group))[:0]
 		for _, i := range group {
-			if hyp, ok := m.trans[transKey(srcs[i])]; ok {
+			if hyp, ok := m.trans[string(w.transKey(srcs[i]))]; ok {
 				hyps[i] = hyp
 			} else {
 				miss = append(miss, i)
@@ -129,7 +128,11 @@ func (m *Model) translateGroup(w *ws, srcs [][]int, group []int, hyps [][]int) {
 	if len(miss) == 0 {
 		return
 	}
-	m.decodeGroup(w, srcs, miss, hyps)
+	if m.p64 != nil {
+		decodeGroup[float64, k64](m, m.p64, w, srcs, miss, hyps)
+	} else {
+		decodeGroup[float32, k32](m, m.p32, w, srcs, miss, hyps)
+	}
 	if !cacheOn {
 		return
 	}
@@ -142,7 +145,7 @@ func (m *Model) translateGroup(w *ws, srcs [][]int, group []int, hyps [][]int) {
 			if m.trans == nil {
 				m.trans = make(map[string][]int, transCacheCap/4)
 			}
-			m.trans[transKey(srcs[i])] = append([]int(nil), hyps[i]...)
+			m.trans[string(w.transKey(srcs[i]))] = append([]int(nil), hyps[i]...)
 		}
 	}
 	m.transMu.Unlock()
@@ -151,53 +154,56 @@ func (m *Model) translateGroup(w *ws, srcs [][]int, group []int, hyps [][]int) {
 // decodeGroup greedily decodes a batch of equal-length sources in lockstep:
 // one GEMM per weight per step instead of one GEMV per sentence per step.
 // Output row b of every kernel depends only on input row b, so each
-// hypothesis is exactly what a batch of one would produce.
+// hypothesis is exactly what a batch of one would produce. The walk is the
+// same for every weight format; K supplies the format's kernels.
 //
 //mdes:noalloc
-func (m *Model) decodeGroup(w *ws, srcs [][]int, group []int, hyps [][]int) {
+func decodeGroup[T float, K kernels[T]](m *Model, p *params[T], w *ws, srcs [][]int, group []int, hyps [][]int) {
+	var k K
+	a := k.arena(w)
 	bN := len(group)
 	sN := len(srcs[group[0]])
 	h, layers := m.cfg.Hidden, m.cfg.Layers
 	maxLen := m.cfg.MaxDecodeLen
 
-	x := w.matrix(bN, m.cfg.Embed) // current-step input embeddings
-	g := w.matrix(bN, 4*h)         // packed LSTM gate activations
-	w.states(layers, bN, h)
+	x := a.matrix(bN, m.cfg.Embed) // current-step input embeddings
+	g := a.matrix(bN, 4*h)         // packed LSTM gate activations
+	a.states(layers, bN, h)
 
 	// Encoder: top-layer hidden per (sentence, source position), laid out so
 	// sentence b's positions are the contiguous rows [b*sN, (b+1)*sN).
-	encTop := w.matrix(bN*sN, h)
+	encTop := a.matrix(bN*sN, h)
 	for s := 0; s < sN; s++ {
 		for b, i := range group {
-			copy(x.Row(b), m.srcEmb.Row(m.clampSrc(srcs[i][s])))
+			copy(x.Row(b), p.srcEmb.Row(m.clampSrc(srcs[i][s])))
 		}
-		m.stepStack(w, x, m.enc, g)
-		top := w.hs[layers-1]
+		stepStack(k, w, a, x, p.enc, g)
+		top := a.hs[layers-1]
 		for b := 0; b < bN; b++ {
 			copy(encTop.Row(b*sN+s), top.Row(b))
 		}
 	}
 
-	// General attention scores h·(Wa·ē_s); Wa·ē_s is decode-invariant, so
-	// project the whole encoding once.
-	var waEnc *mat.Matrix32
+	// General attention scores h·(Wa·h̄_s); Wa·h̄_s is decode-invariant, so
+	// project the whole encoding once per sentence instead of once per step.
+	var waEnc *dense[T]
 	if m.kind == nn.AttentionGeneral {
-		waEnc = w.matrix(bN*sN, h)
-		m.mulInto(w, waEnc, encTop, &m.wa, false)
+		waEnc = a.matrix(bN*sN, h)
+		k.mul(w, waEnc, encTop, &p.wa, false)
 	}
-	var pair, pre *mat.Matrix32
+	var pair, pre *dense[T]
 	if m.kind == nn.AttentionConcat {
-		pair = w.matrix(bN*sN, 2*h)
-		pre = w.matrix(bN*sN, h)
+		pair = a.matrix(bN*sN, 2*h)
+		pre = a.matrix(bN*sN, h)
 	}
 
 	// The decoder starts from the encoder's final state and the encoder never
-	// steps again, so w.hs/w.cs carry over in place.
-	scores := w.matrix(bN, sN)
-	ctx := w.matrix(bN, h)
-	cat := w.matrix(bN, 2*h)
-	htl := w.matrix(bN, h)
-	logits := w.matrix(bN, m.cfg.TgtVocab)
+	// steps again, so the arena's hs/cs carry over in place.
+	scores := a.matrix(bN, sN)
+	ctx := a.matrix(bN, h)
+	cat := a.matrix(bN, 2*h)
+	htl := a.matrix(bN, h)
+	logits := a.matrix(bN, m.cfg.TgtVocab)
 
 	tok := w.intsBuf(bN)
 	done := w.intsBuf(bN)
@@ -211,10 +217,10 @@ func (m *Model) decodeGroup(w *ws, srcs [][]int, group []int, hyps [][]int) {
 		// Finished rows keep stepping with their last token so the batch
 		// stays rectangular; their outputs are ignored below.
 		for b := range tok {
-			copy(x.Row(b), m.tgtEmb.Row(m.clampTgt(tok[b])))
+			copy(x.Row(b), p.tgtEmb.Row(m.clampTgt(tok[b])))
 		}
-		m.stepStack(w, x, m.dec, g)
-		hTop := w.hs[layers-1]
+		stepStack(k, w, a, x, p.dec, g)
+		hTop := a.hs[layers-1]
 
 		// Attention scores against every source position.
 		switch m.kind {
@@ -223,7 +229,7 @@ func (m *Model) decodeGroup(w *ws, srcs [][]int, group []int, hyps [][]int) {
 				hb := hTop.Row(b)
 				sc := scores.Row(b)
 				for s := 0; s < sN; s++ {
-					sc[s] = mat.Dot32(hb, encTop.Row(b*sN+s))
+					sc[s] = k.dot(hb, encTop.Row(b*sN+s))
 				}
 			}
 		case nn.AttentionConcat:
@@ -235,12 +241,12 @@ func (m *Model) decodeGroup(w *ws, srcs [][]int, group []int, hyps [][]int) {
 					copy(pr[h:], encTop.Row(b*sN+s))
 				}
 			}
-			m.mulInto(w, pre, pair, &m.wa, false)
-			mat.Tanh32(pre.Data)
+			k.mul(w, pre, pair, &p.wa, false)
+			k.tanh(pre.Data)
 			for b := 0; b < bN; b++ {
 				sc := scores.Row(b)
 				for s := 0; s < sN; s++ {
-					sc[s] = mat.Dot32(m.va, pre.Row(b*sN+s))
+					sc[s] = k.dot(p.va, pre.Row(b*sN+s))
 				}
 			}
 		default: // nn.AttentionGeneral
@@ -248,7 +254,7 @@ func (m *Model) decodeGroup(w *ws, srcs [][]int, group []int, hyps [][]int) {
 				hb := hTop.Row(b)
 				sc := scores.Row(b)
 				for s := 0; s < sN; s++ {
-					sc[s] = mat.Dot32(hb, waEnc.Row(b*sN+s))
+					sc[s] = k.dot(hb, waEnc.Row(b*sN+s))
 				}
 			}
 		}
@@ -256,34 +262,34 @@ func (m *Model) decodeGroup(w *ws, srcs [][]int, group []int, hyps [][]int) {
 		// Context, combine, output logits.
 		for b := 0; b < bN; b++ {
 			sc := scores.Row(b)
-			mat.Softmax32(sc, sc)
+			k.softmax(sc)
 			cr := ctx.Row(b)
 			for j := range cr {
 				cr[j] = 0
 			}
 			for s := 0; s < sN; s++ {
-				mat.Axpy32(sc[s], encTop.Row(b*sN+s), cr)
+				k.axpy(sc[s], encTop.Row(b*sN+s), cr)
 			}
 			cc := cat.Row(b)
 			copy(cc[:h], cr)
 			copy(cc[h:], hTop.Row(b))
 		}
-		m.mulInto(w, htl, cat, &m.wc, false)
+		k.mul(w, htl, cat, &p.wc, false)
 		for b := 0; b < bN; b++ {
-			mat.Add32(m.wcB, htl.Row(b))
+			k.bias(p.wcB, htl.Row(b))
 		}
-		mat.Tanh32(htl.Data)
-		m.mulInto(w, logits, htl, &m.outW, false)
+		k.tanh(htl.Data)
+		k.mul(w, logits, htl, &p.outW, false)
 
 		for b := 0; b < bN; b++ {
 			if done[b] != 0 {
 				continue
 			}
 			lr := logits.Row(b)
-			mat.Add32(m.outB, lr)
+			k.bias(p.outB, lr)
 			// Never emit BOS; treat it as masked out.
-			lr[nmt.BosID] = negInf32
-			nt := mat.ArgMax32(lr)
+			lr[nmt.BosID] = T(negInf)
+			nt := k.argMax(lr)
 			if nt == nmt.EosID {
 				done[b] = 1
 				remaining--
@@ -300,22 +306,23 @@ func (m *Model) decodeGroup(w *ws, srcs [][]int, group []int, hyps [][]int) {
 }
 
 // stepStack advances a stacked LSTM one step for the whole batch: for each
-// layer, gates = in·Wxᵀ + hPrev·Whᵀ + b through SigTanhGates, then the cell
-// and hidden state matrices in w.hs/w.cs update in place.
+// layer, gates = in·Wxᵀ + hPrev·Whᵀ + b through the fused gate
+// nonlinearities, then the cell and hidden state matrices in the arena's
+// hs/cs update in place.
 //
 //mdes:noalloc
-func (m *Model) stepStack(w *ws, x *mat.Matrix32, cells []cell, g *mat.Matrix32) {
+func stepStack[T float, K kernels[T]](k K, w *ws, a *arena[T], x *dense[T], cells []cell[T], g *dense[T]) {
 	in := x
 	for l := range cells {
 		c := &cells[l]
 		h := c.hid
-		m.mulInto(w, g, in, &c.wx, false)
-		m.mulInto(w, g, w.hs[l], &c.wh, true)
-		hl, cl := w.hs[l], w.cs[l]
+		k.mul(w, g, in, &c.wx, false)
+		k.mul(w, g, a.hs[l], &c.wh, true)
+		hl, cl := a.hs[l], a.cs[l]
 		for b := 0; b < g.Rows; b++ {
 			gr := g.Row(b)
-			mat.Add32(c.b, gr)
-			mat.SigTanhGates32(gr, h)
+			k.bias(c.b, gr)
+			k.gates(gr, h)
 			cr, hr := cl.Row(b), hl.Row(b)
 			for j := 0; j < h; j++ {
 				// C = f·C_prev + i·g̃ ; H = o·tanh(C), gates packed i|f|g̃|o.
@@ -323,7 +330,7 @@ func (m *Model) stepStack(w *ws, x *mat.Matrix32, cells []cell, g *mat.Matrix32)
 				cr[j] = cj
 				hr[j] = cj
 			}
-			mat.Tanh32(hr)
+			k.tanh(hr)
 			for j := 0; j < h; j++ {
 				hr[j] *= gr[3*h+j]
 			}

@@ -1,16 +1,22 @@
-// Package infer is the reduced-precision batched inference engine for
-// trained NMT pair models. Training stays float64 (internal/nmt); at publish
-// time a model's weights are frozen into float32 (GEMM weights stored
-// pre-transposed) or int8 (row-quantized with per-row scales), and scoring
-// runs through ScoreBatch, which packs many sentences against one pair model
-// into GEMM calls over pooled workspaces.
+// Package infer is the batched inference engine for trained NMT pair
+// models: every f(i,j) score in the system runs through it. Training stays
+// in internal/nmt; at publish time a model's weights are frozen into one of
+// three formats — float64 (the training weights unrounded, the paper's
+// reference), float32 (GEMM weights stored pre-transposed) or int8
+// (row-quantized with per-row scales) — and scoring runs through
+// ScoreBatch, which packs many sentences against one pair model into GEMM
+// calls over pooled workspaces. One decode walk serves all three formats,
+// parameterised by a per-format kernel set.
 //
-// Two invariants make batching safe to deploy:
+// Three invariants make the engine safe to deploy:
 //
 //   - Batched == single, bit for bit. Every kernel is row-independent, so a
 //     sentence scored in a batch of 64 gets exactly the score it gets alone
 //     (TestScoreBatchMatchesSingle). Cross-tenant batching in the serving
 //     pool is therefore invisible to scores.
+//   - F64 == nmt, bit for bit. The float64 kernels keep the training
+//     model's accumulation order, so F64 scores and translations equal
+//     nmt.ScoreSentence/Translate exactly (TestF64MatchesNMT).
 //   - Reduced precision preserves the BLEU ranking. f32/int8 scores differ
 //     from float64 in low-order digits; flagged-day parity on the golden
 //     quick-plant trajectory is asserted by internal/experiments.
@@ -18,7 +24,6 @@ package infer
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"mdes/internal/mat"
@@ -26,9 +31,10 @@ import (
 	"mdes/internal/nn"
 )
 
-// Precision selects the numeric format of the scoring path. The zero value
-// F64 means "no inference engine — score through the float64 training
-// model"; F32 and Int8 are the reduced-precision engine formats.
+// Precision selects the weight format of the scoring engine. F64 is the
+// paper-faithful reference: the float64 training weights, scored bit for
+// bit like nmt.ScoreSentence. F32 and Int8 are the reduced-precision
+// formats frozen at publish time.
 type Precision int
 
 const (
@@ -65,95 +71,134 @@ func ParsePrecision(s string) (Precision, error) {
 	}
 }
 
-// weight is one frozen GEMM weight in the active precision. Exactly one of
-// t/q is set: float32 weights are stored pre-transposed (in×out) so batched
-// products Y = X·Wᵀ stream rows of both operands; int8 weights stay out×in
-// because the integer kernel is row-dot-shaped and its per-row scales align
-// with output channels.
+// weight is one frozen GEMM weight in the engine's format. Exactly one of
+// f/t/q is set: float64 and float32 weights are stored pre-transposed
+// (in×out) so batched products Y = X·Wᵀ stream rows of both operands; int8
+// weights stay out×in because the integer kernel is row-dot-shaped and its
+// per-row scales align with output channels.
 type weight struct {
 	out, in int
+	f       *mat.Matrix
 	t       *mat.Matrix32
 	q       *mat.MatrixQ8
 }
 
 // bytes reports the resident size of the frozen weight.
 func (w *weight) bytes() int {
-	if w.q != nil {
+	switch {
+	case w.q != nil:
 		return len(w.q.Data) + 4*len(w.q.Scales)
-	}
-	if w.t != nil {
+	case w.t != nil:
 		return 4 * len(w.t.Data)
+	case w.f != nil:
+		return 8 * len(w.f.Data)
 	}
 	return 0
 }
 
 // cell is one frozen LSTM layer.
-type cell struct {
+type cell[T float] struct {
 	wx, wh  weight
-	b       []float32
+	b       []T
 	in, hid int
 }
 
-// Model is a frozen reduced-precision inference model built from a trained
-// nmt.Model's state. It scores; it never trains. Safe for concurrent use.
+// params holds one engine's frozen tensors. Activations, embeddings and
+// biases share the element type T; GEMM weights carry their own format.
+type params[T float] struct {
+	srcEmb, tgtEmb dense[T] // vocab×embed
+	enc, dec       []cell[T]
+	wa             weight // general: h×h; concat: h×2h (unused for dot)
+	va             []T    // concat scoring vector
+	wc             weight // h×2h combine projection
+	wcB            []T
+	outW           weight // V×h output projection
+	outB           []T
+}
+
+// bytes reports the resident size of the tensors, at elem bytes per
+// activation-typed element.
+func (p *params[T]) bytes(elem int) int {
+	total := elem * (len(p.srcEmb.Data) + len(p.tgtEmb.Data))
+	total += elem * (len(p.va) + len(p.wcB) + len(p.outB))
+	for _, cs := range [][]cell[T]{p.enc, p.dec} {
+		for i := range cs {
+			total += cs[i].wx.bytes() + cs[i].wh.bytes() + elem*len(cs[i].b)
+		}
+	}
+	return total + p.wa.bytes() + p.wc.bytes() + p.outW.bytes()
+}
+
+// Model is a frozen inference model built from a trained nmt.Model's state,
+// in one of three weight formats. It scores; it never trains. Safe for
+// concurrent use.
 type Model struct {
 	cfg  nmt.Config
 	prec Precision
 	kind nn.AttentionKind
 
-	srcEmb, tgtEmb *mat.Matrix32 // vocab×embed, float32 in both precisions
-	enc, dec       []cell
-	wa             weight    // general: h×h; concat: h×2h (unused for dot)
-	va             []float32 // concat scoring vector
-	wc             weight    // h×2h combine projection
-	wcB            []float32
-	outW           weight // V×h output projection
-	outB           []float32
+	// Exactly one is set: p64 for F64, p32 for F32 and Int8.
+	p64 *params[float64]
+	p32 *params[float32]
 
 	wsPool sync.Pool
 
 	// Greedy decoding is deterministic and discrete event languages repeat
 	// sentences constantly, so translations are memoised exactly like the
-	// float64 model's cache (same key scheme, same full-drop eviction).
+	// training model's cache (same key scheme, same full-drop eviction).
 	transMu  sync.Mutex
 	trans    map[string][]int
 	transOff bool
 }
 
 // FromState freezes a trained model snapshot into an inference model at the
-// given precision (F32 or Int8).
+// given precision. F64 keeps the float64 values (GEMM weights transposed,
+// embeddings and biases in place: the engine takes ownership of st.Weights
+// and never writes them); F32 and Int8 convert them.
 func FromState(st nmt.State, prec Precision) (*Model, error) {
-	if prec != F32 && prec != Int8 {
-		return nil, fmt.Errorf("infer: %v is not an inference precision (want f32 or int8)", prec)
+	m := &Model{cfg: st.Config, prec: prec}
+	var err error
+	switch prec {
+	case F64:
+		m.kind, m.p64, err = build[float64](st.Config, &refSource{stateWeights: stateWeights{weights: st.Weights}})
+	case F32, Int8:
+		m.kind, m.p32, err = build[float32](st.Config, &quantSource{stateWeights: stateWeights{weights: st.Weights}, prec: prec})
+	default:
+		return nil, fmt.Errorf("infer: %v is not an inference precision (want f64, f32, or int8)", prec)
 	}
-	return build(st.Config, prec, &f64Source{weights: st.Weights, prec: prec})
+	if err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
-// tensorSource hands build one named tensor at a time. The f64 source
-// quantizes training weights; the state source validates persisted tensors.
-type tensorSource interface {
+// tensorSource hands build one named tensor at a time. The state-weight
+// sources read training weights; the persisted source validates stored
+// tensors.
+type tensorSource[T float] interface {
 	// gemm returns the frozen out×in GEMM weight registered under name.
 	gemm(name string, out, in int) (weight, error)
-	// f32Mat returns a rows×cols float32 matrix (embeddings).
-	f32Mat(name string, rows, cols int) (*mat.Matrix32, error)
-	// f32Vec returns a length-n float32 vector (biases, scoring vectors).
-	f32Vec(name string, n int) ([]float32, error)
+	// matrix returns a rows×cols matrix (embeddings).
+	matrix(name string, rows, cols int) (dense[T], error)
+	// vec returns a length-n vector (biases, scoring vectors).
+	vec(name string, n int) ([]T, error)
 	// finish reports tensors the source holds that build never asked for.
 	finish() error
 }
 
-// build assembles a Model by walking the architecture implied by cfg and
-// pulling each tensor from src. FromState and Load share this walk, so the
-// persisted-layout validation can never drift from the quantisation step.
-func build(cfg nmt.Config, prec Precision, src tensorSource) (*Model, error) {
+// build assembles an engine's tensors by walking the architecture implied
+// by cfg and pulling each tensor from src. FromState and Load share this
+// walk, so the persisted-layout validation can never drift from the
+// conversion step.
+func build[T float](cfg nmt.Config, src tensorSource[T]) (nn.AttentionKind, *params[T], error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	kind := cfg.Attention
 	if kind == 0 {
 		kind = nn.AttentionGeneral
 	}
-	m := &Model{cfg: cfg, prec: prec, kind: kind}
+	p := &params[T]{}
 	var err error
 	fail := func(e error) bool {
 		if e != nil && err == nil {
@@ -167,19 +212,23 @@ func build(cfg nmt.Config, prec Precision, src tensorSource) (*Model, error) {
 			*w = v
 		}
 	}
-	m.srcEmb, err = src.f32Mat("src_emb", cfg.SrcVocab, cfg.Embed)
-	if err != nil {
-		return nil, err
+	vec := func(v *[]T, name string, n int) {
+		if err == nil {
+			*v, err = src.vec(name, n)
+		}
 	}
-	if m.tgtEmb, err = src.f32Mat("tgt_emb", cfg.TgtVocab, cfg.Embed); err != nil {
-		return nil, err
+	if p.srcEmb, err = src.matrix("src_emb", cfg.SrcVocab, cfg.Embed); err != nil {
+		return 0, nil, err
+	}
+	if p.tgtEmb, err = src.matrix("tgt_emb", cfg.TgtVocab, cfg.Embed); err != nil {
+		return 0, nil, err
 	}
 	h := cfg.Hidden
 	for _, stack := range []struct {
 		name  string
-		cells *[]cell
-	}{{"enc", &m.enc}, {"dec", &m.dec}} {
-		*stack.cells = make([]cell, cfg.Layers)
+		cells *[]cell[T]
+	}{{"enc", &p.enc}, {"dec", &p.dec}} {
+		*stack.cells = make([]cell[T], cfg.Layers)
 		for l := 0; l < cfg.Layers; l++ {
 			in := cfg.Embed
 			if l > 0 {
@@ -190,49 +239,41 @@ func build(cfg nmt.Config, prec Precision, src tensorSource) (*Model, error) {
 			prefix := fmt.Sprintf("%s.l%d", stack.name, l)
 			get(&c.wx, prefix+".Wx", 4*h, in)
 			get(&c.wh, prefix+".Wh", 4*h, h)
-			if err == nil {
-				c.b, err = src.f32Vec(prefix+".b", 4*h)
-			}
+			vec(&c.b, prefix+".b", 4*h)
 		}
 	}
 	switch kind {
 	case nn.AttentionGeneral:
-		get(&m.wa, "attn.Wa", h, h)
+		get(&p.wa, "attn.Wa", h, h)
 	case nn.AttentionConcat:
-		get(&m.wa, "attn.Wa", h, 2*h)
-		if err == nil {
-			m.va, err = src.f32Vec("attn.va", h)
-		}
+		get(&p.wa, "attn.Wa", h, 2*h)
+		vec(&p.va, "attn.va", h)
 	case nn.AttentionDot:
 		// no scoring parameters
 	default:
-		return nil, fmt.Errorf("infer: unknown attention kind %d", kind)
+		return 0, nil, fmt.Errorf("infer: unknown attention kind %d", kind)
 	}
-	get(&m.wc, "attn.Wc.W", h, 2*h)
-	if err == nil {
-		m.wcB, err = src.f32Vec("attn.Wc.b", h)
-	}
-	get(&m.outW, "out.W", cfg.TgtVocab, h)
-	if err == nil {
-		m.outB, err = src.f32Vec("out.b", cfg.TgtVocab)
-	}
+	get(&p.wc, "attn.Wc.W", h, 2*h)
+	vec(&p.wcB, "attn.Wc.b", h)
+	get(&p.outW, "out.W", cfg.TgtVocab, h)
+	vec(&p.outB, "out.b", cfg.TgtVocab)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	if err := src.finish(); err != nil {
-		return nil, err
+		return 0, nil, err
 	}
-	return m, nil
+	return kind, p, nil
 }
 
-// f64Source freezes float64 training weights into the target precision.
-type f64Source struct {
+// stateWeights is the part of the training-weight sources shared across
+// formats: name/shape lookup and the unused-tensor check.
+type stateWeights struct {
 	weights map[string][]float64
-	prec    Precision
 	used    int
 }
 
-func (s *f64Source) fetch(name string, want int) ([]float64, error) {
+func (s *stateWeights) fetch(name string, want int) ([]float64, error) {
 	data, ok := s.weights[name]
 	if !ok {
 		return nil, fmt.Errorf("infer: weight %q missing from model state", name)
@@ -244,7 +285,38 @@ func (s *f64Source) fetch(name string, want int) ([]float64, error) {
 	return data, nil
 }
 
-func (s *f64Source) gemm(name string, out, in int) (weight, error) {
+func (s *stateWeights) finish() error {
+	if s.used != len(s.weights) {
+		return fmt.Errorf("infer: model state has %d weights, architecture uses %d", len(s.weights), s.used)
+	}
+	return nil
+}
+
+// refSource hands float64 training weights to the F64 engine unrounded.
+type refSource struct{ stateWeights }
+
+func (s *refSource) gemm(name string, out, in int) (weight, error) {
+	data, err := s.fetch(name, out*in)
+	if err != nil {
+		return weight{}, err
+	}
+	return weight{out: out, in: in, f: mat.FromSlice(out, in, data).T()}, nil
+}
+
+func (s *refSource) matrix(name string, rows, cols int) (dense[float64], error) {
+	data, err := s.fetch(name, rows*cols)
+	return dense[float64]{Rows: rows, Cols: cols, Data: data}, err
+}
+
+func (s *refSource) vec(name string, n int) ([]float64, error) { return s.fetch(name, n) }
+
+// quantSource freezes float64 training weights into F32 or Int8.
+type quantSource struct {
+	stateWeights
+	prec Precision
+}
+
+func (s *quantSource) gemm(name string, out, in int) (weight, error) {
 	data, err := s.fetch(name, out*in)
 	if err != nil {
 		return weight{}, err
@@ -259,15 +331,15 @@ func (s *f64Source) gemm(name string, out, in int) (weight, error) {
 	return w, nil
 }
 
-func (s *f64Source) f32Mat(name string, rows, cols int) (*mat.Matrix32, error) {
+func (s *quantSource) matrix(name string, rows, cols int) (dense[float32], error) {
 	data, err := s.fetch(name, rows*cols)
 	if err != nil {
-		return nil, err
+		return dense[float32]{}, err
 	}
-	return mat.FromSlice(rows, cols, data).To32(), nil
+	return dense[float32](*mat.FromSlice(rows, cols, data).To32()), nil
 }
 
-func (s *f64Source) f32Vec(name string, n int) ([]float32, error) {
+func (s *quantSource) vec(name string, n int) ([]float32, error) {
 	data, err := s.fetch(name, n)
 	if err != nil {
 		return nil, err
@@ -279,13 +351,6 @@ func (s *f64Source) f32Vec(name string, n int) ([]float32, error) {
 	return out, nil
 }
 
-func (s *f64Source) finish() error {
-	if s.used != len(s.weights) {
-		return fmt.Errorf("infer: model state has %d weights, architecture uses %d", len(s.weights), s.used)
-	}
-	return nil
-}
-
 // Precision reports the engine's numeric format.
 func (m *Model) Precision() Precision { return m.prec }
 
@@ -295,15 +360,10 @@ func (m *Model) Config() nmt.Config { return m.cfg }
 // MemoryBytes reports the resident size of the frozen weights — the number
 // the ~4× model-memory reduction claim in BENCH_score.json is measured on.
 func (m *Model) MemoryBytes() int {
-	total := 4 * (len(m.srcEmb.Data) + len(m.tgtEmb.Data))
-	total += 4 * (len(m.va) + len(m.wcB) + len(m.outB))
-	for _, cs := range [][]cell{m.enc, m.dec} {
-		for i := range cs {
-			total += cs[i].wx.bytes() + cs[i].wh.bytes() + 4*len(cs[i].b)
-		}
+	if m.p64 != nil {
+		return m.p64.bytes(8)
 	}
-	total += m.wa.bytes() + m.wc.bytes() + m.outW.bytes()
-	return total
+	return m.p32.bytes(4)
 }
 
 // SetTranslationCaching toggles the per-model translation cache (on by
@@ -340,31 +400,3 @@ func (m *Model) clampTgt(tok int) int {
 	}
 	return tok
 }
-
-// mulInto computes dst = x·wᵀ (add=false) or dst += x·wᵀ (add=true) for a
-// B×in activation matrix against a frozen out×in weight, dispatching on the
-// weight's precision. The int8 path quantizes each activation row on the fly.
-//
-//mdes:noalloc
-func (m *Model) mulInto(w *ws, dst, x *mat.Matrix32, wt *weight, add bool) {
-	if wt.t != nil {
-		if add {
-			x.MulMatAdd(dst, wt.t)
-		} else {
-			x.MulMat(dst, wt.t)
-		}
-		return
-	}
-	b, n := x.Rows, x.Cols
-	qbuf, qscales := w.quantScratch(b, n)
-	for i := 0; i < b; i++ {
-		qscales[i] = mat.QuantizeVec8(qbuf[i*n:(i+1)*n], x.Row(i))
-	}
-	if add {
-		wt.q.MulMatQ8Add(dst, qbuf, qscales)
-	} else {
-		wt.q.MulMatQ8(dst, qbuf, qscales)
-	}
-}
-
-var negInf32 = float32(math.Inf(-1))

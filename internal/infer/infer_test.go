@@ -47,11 +47,11 @@ func randSentences(rng *rand.Rand, n, maxLen, vocab int) [][]int {
 
 // TestScoreBatchMatchesSingle pins the load-bearing batching invariant: a
 // sentence scored inside a batch gets the bit-identical score it gets alone,
-// at both precisions, with the translation cache on and off.
+// in every format, with the translation cache on and off.
 func TestScoreBatchMatchesSingle(t *testing.T) {
 	for _, kind := range []nn.AttentionKind{nn.AttentionGeneral, nn.AttentionDot, nn.AttentionConcat} {
 		st := testState(t, kind, 11)
-		for _, prec := range []Precision{F32, Int8} {
+		for _, prec := range []Precision{F64, F32, Int8} {
 			for _, cache := range []bool{false, true} {
 				m, err := FromState(st, prec)
 				if err != nil {
@@ -126,7 +126,7 @@ func TestInferMatchesF64(t *testing.T) {
 // translation cache off (the configuration the throughput benchmarks run),
 // warmed batched scoring allocates nothing.
 func TestScoreBatchSteadyStateAllocs(t *testing.T) {
-	for _, prec := range []Precision{F32, Int8} {
+	for _, prec := range []Precision{F64, F32, Int8} {
 		m, err := FromState(testState(t, nn.AttentionGeneral, 11), prec)
 		if err != nil {
 			t.Fatal(err)
@@ -252,14 +252,86 @@ func TestLoadRejectsCorruptState(t *testing.T) {
 	}
 }
 
-// TestFromStateRejectsF64 pins that F64 is a routing sentinel, not an engine
-// precision.
-func TestFromStateRejectsF64(t *testing.T) {
-	if _, err := FromState(testState(t, nn.AttentionGeneral, 3), F64); err == nil {
-		t.Fatal("FromState(F64) succeeded, want error")
-	}
+// TestFromStateRejectsUnknownPrecision pins that only the three weight
+// formats build an engine.
+func TestFromStateRejectsUnknownPrecision(t *testing.T) {
 	if _, err := FromState(testState(t, nn.AttentionGeneral, 3), Precision(9)); err == nil {
 		t.Fatal("FromState(9) succeeded, want error")
+	}
+}
+
+// eosShy returns st with the EOS logit pushed far down, so greedy decodes
+// run to MaxDecodeLen.
+func eosShy(st nmt.State) nmt.State {
+	w := make(map[string][]float64, len(st.Weights))
+	for name, v := range st.Weights {
+		w[name] = append([]float64(nil), v...)
+	}
+	w["out.b"][nmt.EosID] = -100
+	return nmt.State{Config: st.Config, Weights: w}
+}
+
+// TestF64MatchesNMT pins the reference contract of the F64 engine: with
+// both translation caches off, every translation and every score equals
+// the training model's, compared with ==, for each attention variant —
+// including references masked with <unk> and decodes that run to
+// MaxDecodeLen.
+func TestF64MatchesNMT(t *testing.T) {
+	for _, kind := range []nn.AttentionKind{nn.AttentionGeneral, nn.AttentionDot, nn.AttentionConcat} {
+		for _, long := range []bool{false, true} {
+			st := testState(t, kind, 5)
+			if long {
+				st = eosShy(st)
+			}
+			ref, err := nmt.LoadModel(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref.SetTranslationCaching(false)
+			m, err := FromState(st, F64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.SetTranslationCaching(false)
+			rng := rand.New(rand.NewSource(41))
+			srcs := randSentences(rng, 40, 9, 12)
+			refs := randSentences(rng, 40, 9, 12)
+			unk, full := 0, 0
+			got := make([]float64, len(srcs))
+			m.ScoreBatch(srcs, refs, got)
+			for i := range srcs {
+				want := ref.Translate(srcs[i])
+				hyp := m.Translate(srcs[i])
+				if len(hyp) != len(want) {
+					t.Fatalf("kind=%v long=%v sentence %d: engine hyp %v, nmt hyp %v", kind, long, i, hyp, want)
+				}
+				for j := range hyp {
+					if hyp[j] != want[j] {
+						t.Fatalf("kind=%v long=%v sentence %d: engine hyp %v, nmt hyp %v", kind, long, i, hyp, want)
+					}
+				}
+				if len(hyp) == st.Config.MaxDecodeLen {
+					full++
+				}
+				for _, tok := range refs[i] {
+					if tok == nmt.UnkID {
+						unk++
+						break
+					}
+				}
+				s := nmt.ScoreSentence(ref, srcs[i], refs[i])
+				if got[i] != s || m.ScoreSentence(srcs[i], refs[i]) != s {
+					t.Fatalf("kind=%v long=%v sentence %d: engine score %v (single %v), nmt score %v",
+						kind, long, i, got[i], m.ScoreSentence(srcs[i], refs[i]), s)
+				}
+			}
+			if unk == 0 {
+				t.Fatalf("kind=%v: no reference exercised <unk> masking", kind)
+			}
+			if long && full == 0 {
+				t.Fatalf("kind=%v: no decode ran to MaxDecodeLen", kind)
+			}
+		}
 	}
 }
 
@@ -285,6 +357,13 @@ func TestMemoryCompression(t *testing.T) {
 	}
 	if 2*f32m.MemoryBytes() != f64Bytes {
 		t.Fatalf("f32 size %d, want exactly half of f64 %d", f32m.MemoryBytes(), f64Bytes)
+	}
+	f64m, err := FromState(st, F64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f64m.MemoryBytes() != f64Bytes {
+		t.Fatalf("f64 engine size %d, want the training weights' %d", f64m.MemoryBytes(), f64Bytes)
 	}
 }
 

@@ -36,8 +36,14 @@ type State struct {
 	Tensors   []Tensor   `json:"tensors"`
 }
 
-// State snapshots the frozen weights for persistence.
+// State snapshots the frozen weights of an F32 or Int8 engine for
+// persistence. An F64 engine is the training weights themselves, which
+// persist as their nmt.State; calling State on one is a bug and panics.
 func (m *Model) State() State {
+	p := m.p32
+	if p == nil {
+		panic("infer: State of an f64 engine; persist its nmt.State instead")
+	}
 	st := State{Config: m.cfg, Precision: m.prec.String()}
 	addW := func(name string, w *weight) {
 		if w.q != nil {
@@ -56,7 +62,7 @@ func (m *Model) State() State {
 			F32: append([]float32(nil), w.t.Data...),
 		})
 	}
-	addM := func(name string, v *mat.Matrix32) {
+	addM := func(name string, v *dense[float32]) {
 		st.Tensors = append(st.Tensors, Tensor{
 			Name: name, Rows: v.Rows, Cols: v.Cols,
 			F32: append([]float32(nil), v.Data...),
@@ -68,9 +74,9 @@ func (m *Model) State() State {
 			F32: append([]float32(nil), v...),
 		})
 	}
-	addM("src_emb", m.srcEmb)
-	addM("tgt_emb", m.tgtEmb)
-	for si, cs := range [][]cell{m.enc, m.dec} {
+	addM("src_emb", &p.srcEmb)
+	addM("tgt_emb", &p.tgtEmb)
+	for si, cs := range [][]cell[float32]{p.enc, p.dec} {
 		stack := [2]string{"enc", "dec"}[si]
 		for l := range cs {
 			prefix := fmt.Sprintf("%s.l%d", stack, l)
@@ -79,16 +85,16 @@ func (m *Model) State() State {
 			addV(prefix+".b", cs[l].b)
 		}
 	}
-	if m.wa.out > 0 {
-		addW("attn.Wa", &m.wa)
+	if p.wa.out > 0 {
+		addW("attn.Wa", &p.wa)
 	}
-	if m.va != nil {
-		addV("attn.va", m.va)
+	if p.va != nil {
+		addV("attn.va", p.va)
 	}
-	addW("attn.Wc.W", &m.wc)
-	addV("attn.Wc.b", m.wcB)
-	addW("out.W", &m.outW)
-	addV("out.b", m.outB)
+	addW("attn.Wc.W", &p.wc)
+	addV("attn.Wc.b", p.wcB)
+	addW("out.W", &p.outW)
+	addV("out.b", p.outB)
 	return st
 }
 
@@ -111,14 +117,14 @@ func Load(st State) (*Model, error) {
 		}
 		src.tensors[t.Name] = t
 	}
-	m, err := build(st.Config, prec, src)
+	kind, p, err := build[float32](st.Config, src)
 	if err != nil {
 		if errors.Is(err, ErrCorrupt) {
 			return nil, err
 		}
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	return m, nil
+	return &Model{cfg: st.Config, prec: prec, kind: kind, p32: p}, nil
 }
 
 // stateSource feeds build from persisted tensors, enforcing exact shapes.
@@ -165,19 +171,19 @@ func (s *stateSource) gemm(name string, out, in int) (weight, error) {
 	return w, nil
 }
 
-func (s *stateSource) f32Mat(name string, rows, cols int) (*mat.Matrix32, error) {
+func (s *stateSource) matrix(name string, rows, cols int) (dense[float32], error) {
 	t, err := s.fetch(name)
 	if err != nil {
-		return nil, err
+		return dense[float32]{}, err
 	}
 	if t.Rows != rows || t.Cols != cols || len(t.F32) != rows*cols || len(t.Q8) != 0 {
-		return nil, fmt.Errorf("%w: tensor %q: want %dx%d f32, got %dx%d with %d f32, %d codes",
+		return dense[float32]{}, fmt.Errorf("%w: tensor %q: want %dx%d f32, got %dx%d with %d f32, %d codes",
 			ErrCorrupt, name, rows, cols, t.Rows, t.Cols, len(t.F32), len(t.Q8))
 	}
-	return &mat.Matrix32{Rows: rows, Cols: cols, Data: t.F32}, nil
+	return dense[float32]{Rows: rows, Cols: cols, Data: t.F32}, nil
 }
 
-func (s *stateSource) f32Vec(name string, n int) ([]float32, error) {
+func (s *stateSource) vec(name string, n int) ([]float32, error) {
 	t, err := s.fetch(name)
 	if err != nil {
 		return nil, err

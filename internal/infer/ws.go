@@ -2,36 +2,27 @@ package infer
 
 import (
 	"mdes/internal/bleu"
-	"mdes/internal/mat"
 )
 
-// ws is the per-call scratch arena of the inference engine — the float32
-// counterpart of nn.Workspace. Matrices, token buffers, and quantisation
-// scratch for one ScoreBatch call are bump-allocated out of reusable slabs;
-// matrix headers come from a free list. Steady-state batched scoring
-// allocates nothing (pinned by TestScoreBatchSteadyStateAllocs).
+// ws is the per-call scratch arena of the inference engine — the inference
+// counterpart of nn.Workspace. Activation matrices (one arena per element
+// type), token buffers, and quantisation scratch for one ScoreBatch call are
+// bump-allocated out of reusable slabs; matrix headers come from free lists.
+// Steady-state batched scoring allocates nothing (pinned by
+// TestScoreBatchSteadyStateAllocs).
 //
 // Lifetime contract: everything handed out is valid until the next reset. A
 // ws is not safe for concurrent use; models pool them (sync.Pool) so
 // concurrent ScoreBatch calls each get their own.
 type ws struct {
-	slab []float32
-	off  int
-	// spill holds slabs that filled up since the last reset; their capacity
-	// is folded into one right-sized slab on the next reset so the steady
-	// state is a single slab and zero allocations.
-	spill      [][]float32
-	spillElems int
+	a32 arena[float32]
+	a64 arena[float64]
 
 	ints   []int
 	intOff int
 
-	mats []*mat.Matrix32
-	matN int
-
-	// hs/cs hold the per-layer LSTM state matrices of the group currently
-	// being decoded.
-	hs, cs []*mat.Matrix32
+	// key is the translation-cache key scratch (see transKey).
+	key []byte
 
 	// hyps is the reusable outer slice for decoded hypotheses (inner slices
 	// point into the int slab or the translation cache).
@@ -48,53 +39,107 @@ type ws struct {
 	scorer *bleu.Scorer
 }
 
+// arena hands out the activation matrices of one element type.
+type arena[T float] struct {
+	slab []T
+	off  int
+	// spill holds slabs that filled up since the last reset; their capacity
+	// is folded into one right-sized slab on the next reset so the steady
+	// state is a single slab and zero allocations.
+	spill      [][]T
+	spillElems int
+
+	mats []*dense[T]
+	matN int
+
+	// hs/cs hold the per-layer LSTM state matrices of the group currently
+	// being decoded.
+	hs, cs []*dense[T]
+}
+
 func newWS() *ws { return &ws{scorer: bleu.NewScorer()} }
 
 const minSlab = 4096
 
 // reset recycles everything handed out since the previous reset.
 func (w *ws) reset() {
-	if len(w.spill) > 0 {
-		total := w.spillElems + len(w.slab)
-		w.slab = make([]float32, total)
-		w.spill = w.spill[:0]
-		w.spillElems = 0
-	}
-	w.off = 0
+	w.a32.reset()
+	w.a64.reset()
 	w.intOff = 0
-	w.matN = 0
 	w.src1[0], w.ref1[0] = nil, nil
 }
 
-// vec returns a zeroed length-n float32 slice valid until the next reset.
+func (a *arena[T]) reset() {
+	if len(a.spill) > 0 {
+		total := a.spillElems + len(a.slab)
+		a.slab = make([]T, total)
+		a.spill = a.spill[:0]
+		a.spillElems = 0
+	}
+	a.off = 0
+	a.matN = 0
+}
+
+// vec returns a zeroed length-n slice valid until the next reset.
 //
 //mdes:noalloc
-func (w *ws) vec(n int) []float32 {
-	if w.off+n > len(w.slab) {
-		w.growFloat(n)
+func (a *arena[T]) vec(n int) []T {
+	if a.off+n > len(a.slab) {
+		a.grow(n)
 	}
-	v := w.slab[w.off : w.off+n : w.off+n]
-	w.off += n
+	v := a.slab[a.off : a.off+n : a.off+n]
+	a.off += n
 	for i := range v {
 		v[i] = 0
 	}
 	return v
 }
 
-func (w *ws) growFloat(n int) {
-	if len(w.slab) > 0 {
-		w.spill = append(w.spill, w.slab)
-		w.spillElems += len(w.slab)
+func (a *arena[T]) grow(n int) {
+	if len(a.slab) > 0 {
+		a.spill = append(a.spill, a.slab)
+		a.spillElems += len(a.slab)
 	}
-	size := 2 * len(w.slab)
+	size := 2 * len(a.slab)
 	if size < minSlab {
 		size = minSlab
 	}
 	if size < n {
 		size = n
 	}
-	w.slab = make([]float32, size)
-	w.off = 0
+	a.slab = make([]T, size)
+	a.off = 0
+}
+
+// matrix returns a zeroed rows×cols matrix backed by the slab, with its
+// header drawn from the free list.
+//
+//mdes:noalloc
+func (a *arena[T]) matrix(rows, cols int) *dense[T] {
+	var m *dense[T]
+	//mdes:allow(noalloc) header free-list growth: amortised to zero once the list is warm
+	if a.matN < len(a.mats) {
+		m = a.mats[a.matN]
+	} else {
+		m = &dense[T]{}
+		a.mats = append(a.mats, m)
+	}
+	a.matN++
+	m.Rows, m.Cols = rows, cols
+	m.Data = a.vec(rows * cols)
+	return m
+}
+
+// states sizes hs/cs to layers zeroed B×h state matrices.
+//
+//mdes:noalloc
+func (a *arena[T]) states(layers, b, h int) {
+	a.hs = resizeOuterMat(a.hs, layers)
+	a.cs = resizeOuterMat(a.cs, layers)
+	for l := 0; l < layers; l++ {
+		a.hs[l] = a.matrix(b, h)
+		a.cs[l] = a.matrix(b, h)
+	}
 }
 
 // intsBuf returns a zeroed length-n int slice valid until the next reset.
@@ -123,37 +168,6 @@ func (w *ws) intsBuf(n int) []int {
 	return v
 }
 
-// matrix returns a zeroed rows×cols matrix backed by the slab, with its
-// header drawn from the free list.
-//
-//mdes:noalloc
-func (w *ws) matrix(rows, cols int) *mat.Matrix32 {
-	var m *mat.Matrix32
-	//mdes:allow(noalloc) header free-list growth: amortised to zero once the list is warm
-	if w.matN < len(w.mats) {
-		m = w.mats[w.matN]
-	} else {
-		m = &mat.Matrix32{}
-		w.mats = append(w.mats, m)
-	}
-	w.matN++
-	m.Rows, m.Cols = rows, cols
-	m.Data = w.vec(rows * cols)
-	return m
-}
-
-// states sizes hs/cs to layers zeroed B×h state matrices.
-//
-//mdes:noalloc
-func (w *ws) states(layers, b, h int) {
-	w.hs = resizeOuterMat(w.hs, layers)
-	w.cs = resizeOuterMat(w.cs, layers)
-	for l := 0; l < layers; l++ {
-		w.hs[l] = w.matrix(b, h)
-		w.cs[l] = w.matrix(b, h)
-	}
-}
-
 // quantScratch returns int8/scale buffers for one quantized GEMM call (B
 // activation rows of length n). The buffers are persistent — the next call
 // overwrites them — so one pair serves every GEMM in a step.
@@ -174,10 +188,10 @@ func (w *ws) quantScratch(b, n int) ([]int8, []float32) {
 // resizeOuterMat grows an outer matrix-pointer slice to length n.
 //
 //mdes:noalloc
-func resizeOuterMat(prev []*mat.Matrix32, n int) []*mat.Matrix32 {
+func resizeOuterMat[T float](prev []*dense[T], n int) []*dense[T] {
 	if cap(prev) < n {
 		//mdes:allow(noalloc) grow-once outer slice: amortised to zero at steady state
-		return make([]*mat.Matrix32, n)
+		return make([]*dense[T], n)
 	}
 	return prev[:n]
 }

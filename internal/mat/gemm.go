@@ -94,3 +94,77 @@ func checkGEMM(op string, dr, dc, ar, ac, br, bc int) {
 			op, ar, ac, br, bc, dr, dc))
 	}
 }
+
+// MulMatExact computes dst = x · wt for an R×K activation matrix x and a
+// K×C weight wt stored pre-transposed (wt = Wᵀ for a C×K weight W). Unlike
+// MulMat it keeps the mat-vec accumulation order exactly: every output is
+// its own sum, started at +0 and accumulated over k = 0..K−1 with no zero
+// skipping, so row b of dst equals W.MulVec(·, x.Row(b)) bit for bit
+// (signed zeros and Inf/NaN included; gemm_test.go pins this). This is the
+// float64 reference kernel of the inference engine. On amd64 with AVX2 the
+// vector-aligned outputs run through mulExactAVX, four outputs per lane
+// group, with separate multiply and add instructions — never fused — so the
+// rounding is the scalar loop's.
+//
+//mdes:noalloc
+func (x *Matrix) MulMatExact(dst, wt *Matrix) {
+	checkGEMM("MulMatExact", dst.Rows, dst.Cols, x.Rows, x.Cols, wt.Rows, wt.Cols)
+	for b := 0; b < x.Rows; b++ {
+		mulExactRow(dst.Row(b), x.Row(b), wt, false)
+	}
+}
+
+// MulMatExactAdd computes dst += x · wt, adding each output's finished sum
+// to dst exactly as MulVecAdd does.
+//
+//mdes:noalloc
+func (x *Matrix) MulMatExactAdd(dst, wt *Matrix) {
+	checkGEMM("MulMatExactAdd", dst.Rows, dst.Cols, x.Rows, x.Cols, wt.Rows, wt.Cols)
+	for b := 0; b < x.Rows; b++ {
+		mulExactRow(dst.Row(b), x.Row(b), wt, true)
+	}
+}
+
+// mulExactRow computes one output row: d[j] (+)= Σ_k xr[k]·wt[k][j].
+//
+//mdes:noalloc
+func mulExactRow(d, xr []float64, wt *Matrix, add bool) {
+	n, k := wt.Cols, wt.Rows
+	j := 0
+	if simdOn && n >= 4 && k > 0 {
+		addFlag := 0
+		if add {
+			addFlag = 1
+		}
+		mulExactAVX(&d[0], &wt.Data[0], n, &xr[0], k, n, addFlag)
+		j = n &^ 3
+	}
+	// Without AVX2, four outputs per pass over the transposed weight run
+	// about twice as fast as the one-output loop, which finishes the tail.
+	for ; j+4 <= n; j += 4 {
+		var s0, s1, s2, s3 float64
+		for kk, a := range xr[:k] {
+			w := wt.Data[kk*n+j : kk*n+j+4]
+			s0 += w[0] * a
+			s1 += w[1] * a
+			s2 += w[2] * a
+			s3 += w[3] * a
+		}
+		if add {
+			d[j], d[j+1], d[j+2], d[j+3] = d[j]+s0, d[j+1]+s1, d[j+2]+s2, d[j+3]+s3
+		} else {
+			d[j], d[j+1], d[j+2], d[j+3] = s0, s1, s2, s3
+		}
+	}
+	for ; j < n; j++ {
+		var s float64
+		for kk, a := range xr[:k] {
+			s += wt.Data[kk*n+j] * a
+		}
+		if add {
+			d[j] += s
+		} else {
+			d[j] = s
+		}
+	}
+}

@@ -119,6 +119,104 @@ func TestMulMatShapePanics(t *testing.T) {
 	a.MulMat(New(2, 2), b)
 }
 
+// TestMulMatExactMatchesMulVec pins the float64 reference GEMM against the
+// per-row mat-vec order exactly: with wt = Wᵀ, row b of x·wt must equal
+// W.MulVec on row b (and the Add variant W.MulVecAdd) bit for bit, across
+// every remainder of the 32- and 4-output blocking, with zeros, signed zeros
+// and Inf/NaN in both operands, on the AVX2 and the portable kernel. NaN
+// results must stay NaN; their payload follows operand order inside the
+// FPU, which no Go source order pins.
+func TestMulMatExactMatchesMulVec(t *testing.T) {
+	prev := SIMDEnabled()
+	defer SetSIMD(prev)
+	rng := rand.New(rand.NewSource(11))
+	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 1e-310}
+	for _, simd := range []bool{false, true} {
+		SetSIMD(simd)
+		if simd && !SIMDEnabled() {
+			continue // no AVX2 here: the portable pass covered the kernel
+		}
+		for _, rows := range []int{1, 2, 3, 5} {
+			for _, outs := range []int{1, 3, 4, 5, 8, 13, 32, 37, 64, 71} {
+				for _, in := range []int{1, 2, 7, 16} {
+					for _, sp := range []bool{false, true} {
+						w := randMatrix(rng, outs, in)
+						x := randMatrix(rng, rows, in)
+						if sp {
+							for i := 0; i < 3; i++ {
+								w.Data[rng.Intn(len(w.Data))] = special[rng.Intn(len(special))]
+								x.Data[rng.Intn(len(x.Data))] = special[rng.Intn(len(special))]
+							}
+						}
+						wt := New(in, outs)
+						for i := 0; i < outs; i++ {
+							for j := 0; j < in; j++ {
+								wt.Set(j, i, w.At(i, j))
+							}
+						}
+						got := New(rows, outs)
+						for i := range got.Data {
+							got.Data[i] = math.NaN() // MulMatExact must overwrite, not accumulate
+						}
+						x.MulMatExact(got, wt)
+						acc := randMatrix(rng, rows, outs)
+						accWant := acc.Clone()
+						x.MulMatExactAdd(acc, wt)
+						want := make([]float64, outs)
+						for b := 0; b < rows; b++ {
+							w.MulVec(want, x.Row(b))
+							if !sameFloats(got.Row(b), want) {
+								t.Fatalf("simd=%v MulMatExact %dx%d·%dx%d sp=%v row %d: %v != %v",
+									simd, rows, in, in, outs, sp, b, got.Row(b), want)
+							}
+							w.MulVecAdd(accWant.Row(b), x.Row(b))
+						}
+						if !sameFloats(acc.Data, accWant.Data) {
+							t.Fatalf("simd=%v MulMatExactAdd %dx%d·%dx%d sp=%v: %v != %v",
+								simd, rows, in, in, outs, sp, acc.Data, accWant.Data)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// sameFloats is bitEqual with every NaN equal to every other NaN.
+func sameFloats(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !(math.IsNaN(a[i]) && math.IsNaN(b[i])) && math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func TestMulMatExactShapePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected shape panic")
+		}
+	}()
+	x, wt := New(2, 3), New(4, 3)
+	x.MulMatExact(New(2, 3), wt)
+}
+
+func BenchmarkMulMatExact16x64x256(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	x := randMatrix(rng, 16, 64)
+	wt := randMatrix(rng, 64, 256)
+	dst := New(16, 256)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x.MulMatExact(dst, wt)
+	}
+}
+
 func BenchmarkMulMat64x64(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	a := randMatrix(rng, 64, 64)

@@ -2,8 +2,9 @@ package mat
 
 // Assembly kernel declarations (kernels_amd64.s). Each processes the largest
 // vector-aligned prefix; callers finish the tail with portable Go. The int8
-// kernel is integer arithmetic throughout, so it returns bit-identical sums
-// to the portable loop; the float32 FMA kernel rounds differently than
+// kernel is integer arithmetic throughout, and the float64 kernel keeps the
+// scalar operation order, so both return bit-identical results to the
+// portable loops; the float32 FMA kernel rounds differently than
 // scalar code (fused multiply-add, 8-lane accumulation) — scoring is
 // deterministic per platform, and all correctness gates are relative
 // (batch==single, parity vs float64), never golden float32 bits.
@@ -13,6 +14,14 @@ package mat
 //
 //go:noescape
 func axpy4AVX(di, b *float32, stride, n int, a *float32)
+
+// mulExactAVX computes d[j] = Σ_k x[k]·w[k*stride+j] (add=0) or
+// d[j] += Σ_k x[k]·w[k*stride+j] (add=1) for j in [0, n&^3), each sum
+// started at +0 and accumulated in k order with VMULPD then VADDPD — never
+// FMA — so every output rounds exactly like the scalar mat-vec loop.
+//
+//go:noescape
+func mulExactAVX(d, w *float64, stride int, x *float64, k, n, add int)
 
 // axpy1AVX computes di[j] += a·b[j] for j in [0, n&^7).
 //

@@ -472,3 +472,114 @@ d4done:
 	MOVL AX, 12(R12)
 	VZEROUPPER
 	RET
+
+// func mulExactAVX(d, w *float64, stride int, x *float64, k, n, add int)
+//
+// d[j] = Σ_kk x[kk]*w[kk*stride+j]  (add == 0)
+// d[j] += Σ_kk x[kk]*w[kk*stride+j] (add != 0)
+// for j in [0, n&^3). Each sum starts at +0 and accumulates in kk order
+// through VMULPD then VADDPD (never fused), one output per lane: the exact
+// rounding sequence of the scalar mat-vec loop. Outputs go 32 at a time
+// (eight accumulators hide the add latency), then 4 at a time.
+TEXT ·mulExactAVX(SB), NOSPLIT, $0-56
+	MOVQ d+0(FP), DI
+	MOVQ w+8(FP), SI
+	MOVQ stride+16(FP), CX
+	SHLQ $3, CX                   // stride in bytes
+	MOVQ x+24(FP), R8
+	MOVQ k+32(FP), R9
+	MOVQ n+40(FP), BX
+	MOVQ add+48(FP), R12
+	ANDQ $-4, BX                  // vector span: n &^ 3
+	XORQ DX, DX                   // j
+
+me32:
+	MOVQ BX, AX
+	SUBQ DX, AX
+	CMPQ AX, $32
+	JLT  me4
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	LEAQ (SI)(DX*8), R10          // &w[0][j]
+	XORQ R11, R11                 // kk
+
+me32k:
+	VBROADCASTSD (R8)(R11*8), Y8
+	VMULPD (R10), Y8, Y9
+	VADDPD Y9, Y0, Y0
+	VMULPD 32(R10), Y8, Y10
+	VADDPD Y10, Y1, Y1
+	VMULPD 64(R10), Y8, Y11
+	VADDPD Y11, Y2, Y2
+	VMULPD 96(R10), Y8, Y12
+	VADDPD Y12, Y3, Y3
+	VMULPD 128(R10), Y8, Y13
+	VADDPD Y13, Y4, Y4
+	VMULPD 160(R10), Y8, Y14
+	VADDPD Y14, Y5, Y5
+	VMULPD 192(R10), Y8, Y15
+	VADDPD Y15, Y6, Y6
+	VMULPD 224(R10), Y8, Y9
+	VADDPD Y9, Y7, Y7
+	ADDQ CX, R10
+	INCQ R11
+	CMPQ R11, R9
+	JLT  me32k
+
+	TESTQ R12, R12
+	JE   me32st
+	VADDPD (DI)(DX*8), Y0, Y0
+	VADDPD 32(DI)(DX*8), Y1, Y1
+	VADDPD 64(DI)(DX*8), Y2, Y2
+	VADDPD 96(DI)(DX*8), Y3, Y3
+	VADDPD 128(DI)(DX*8), Y4, Y4
+	VADDPD 160(DI)(DX*8), Y5, Y5
+	VADDPD 192(DI)(DX*8), Y6, Y6
+	VADDPD 224(DI)(DX*8), Y7, Y7
+
+me32st:
+	VMOVUPD Y0, (DI)(DX*8)
+	VMOVUPD Y1, 32(DI)(DX*8)
+	VMOVUPD Y2, 64(DI)(DX*8)
+	VMOVUPD Y3, 96(DI)(DX*8)
+	VMOVUPD Y4, 128(DI)(DX*8)
+	VMOVUPD Y5, 160(DI)(DX*8)
+	VMOVUPD Y6, 192(DI)(DX*8)
+	VMOVUPD Y7, 224(DI)(DX*8)
+	ADDQ $32, DX
+	JMP  me32
+
+me4:
+	CMPQ DX, BX
+	JGE  medone
+	VXORPD Y0, Y0, Y0
+	LEAQ (SI)(DX*8), R10
+	XORQ R11, R11
+
+me4k:
+	VBROADCASTSD (R8)(R11*8), Y8
+	VMULPD (R10), Y8, Y9
+	VADDPD Y9, Y0, Y0
+	ADDQ CX, R10
+	INCQ R11
+	CMPQ R11, R9
+	JLT  me4k
+
+	TESTQ R12, R12
+	JE   me4st
+	VADDPD (DI)(DX*8), Y0, Y0
+
+me4st:
+	VMOVUPD Y0, (DI)(DX*8)
+	ADDQ $4, DX
+	JMP  me4
+
+medone:
+	VZEROUPPER
+	RET

@@ -16,6 +16,10 @@ func axpy4AVX(di, b *float32, stride, n int, a *float32) {
 	panic("mat: axpy4AVX without assembly support")
 }
 
+func mulExactAVX(d, w *float64, stride int, x *float64, k, n, add int) {
+	panic("mat: mulExactAVX without assembly support")
+}
+
 func axpy1AVX(di, b *float32, n int, a float32) {
 	panic("mat: axpy1AVX without assembly support")
 }

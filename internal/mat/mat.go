@@ -51,6 +51,17 @@ func (m *Matrix) Clone() *Matrix {
 	return out
 }
 
+// T returns the transpose of m as a fresh matrix.
+func (m *Matrix) T() *Matrix {
+	out := New(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for j, v := range m.Row(i) {
+			out.Data[j*m.Rows+i] = v
+		}
+	}
+	return out
+}
+
 // Zero sets every element to 0.
 func (m *Matrix) Zero() {
 	for i := range m.Data {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -40,7 +41,7 @@ func TestStateRoundTrip(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		a := m.Translate(src[i])
 		b := m2.Translate(src[i])
-		if !equalInts(a, b) {
+		if !slices.Equal(a, b) {
 			t.Fatalf("loaded model decodes differently: %v vs %v", a, b)
 		}
 	}

@@ -12,7 +12,9 @@ import (
 //
 //   - scanning and decoding never panic;
 //   - a line either skips (blank), errors, or yields a tick that survives a
-//     JSON round-trip with identical keys and values.
+//     JSON round-trip with identical keys and values — with one map reused
+//     across lines, exactly as the handler reuses it, so no key of an
+//     earlier line can leak into a later one.
 //
 // TestTickScannerRefusesOversizedLines covers the memory bound separately (a
 // megabyte seed would stall the fuzzer's throughput).
@@ -28,6 +30,7 @@ func FuzzWireDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc := tickScanner(bytes.NewReader(data))
+		var scratch map[string]string
 		lines := 0
 		for sc.Scan() {
 			lines++
@@ -35,7 +38,10 @@ func FuzzWireDecode(f *testing.F) {
 				return // enough structure exercised; keep iterations fast
 			}
 			line := sc.Bytes()
-			tick, skip, err := decodeTick(line)
+			tick, skip, err := decodeTick(line, scratch)
+			if tick != nil {
+				scratch = tick
+			}
 			if skip {
 				if len(line) != 0 {
 					t.Fatalf("non-empty line %q skipped", line)
@@ -54,6 +60,10 @@ func FuzzWireDecode(f *testing.F) {
 			var back map[string]string
 			if err := json.Unmarshal(re, &back); err != nil {
 				t.Fatalf("re-marshalled tick does not parse: %v", err)
+			}
+			var fresh map[string]string
+			if err := json.Unmarshal(line, &fresh); err != nil || len(fresh) != len(tick) {
+				t.Fatalf("reused map holds %d keys, a fresh decode %d (%v)", len(tick), len(fresh), err)
 			}
 			if len(back) != len(tick) {
 				t.Fatalf("round-trip changed key count: %d != %d", len(back), len(tick))

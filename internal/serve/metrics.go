@@ -64,9 +64,11 @@ type histogram struct {
 	n      atomic.Int64
 }
 
-// scoreBuckets spans one pairwise scoring call: sub-millisecond cache hits
-// through multi-second cold decodes on large models.
-var scoreBuckets = []float64{.0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5}
+// scoreBuckets spans one pairwise scoring call: tens-of-microsecond batched
+// jobs and cache hits through multi-second cold decodes on large models.
+// The sub-millisecond buckets keep quantiles of today's per-job latency
+// measured rather than interpolated inside one wide first bucket.
+var scoreBuckets = []float64{.000025, .00005, .0001, .00025, .0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5}
 
 // replLagBuckets spans snapshot-replication lag (enqueue to standby ack):
 // sub-millisecond same-host ships through multi-second retry storms.

@@ -63,3 +63,22 @@ func TestMetricsWriteIncludesEveryFamily(t *testing.T) {
 		}
 	}
 }
+
+// TestScoreBucketsResolveMicroseconds pins sub-millisecond resolution of the
+// scoring histogram: a 30 µs job lands in a bucket below 500 µs, so score
+// latency quantiles are measured, not interpolated across [0, 500 µs].
+func TestScoreBucketsResolveMicroseconds(t *testing.T) {
+	h := newHistogram(scoreBuckets)
+	h.observe(30 * time.Microsecond)
+	var sb strings.Builder
+	h.write(&sb, "s", "help")
+	out := sb.String()
+	for _, want := range []string{`s_bucket{le="5e-05"} 1`, `s_bucket{le="0.0005"} 1`} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("missing %q in:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, `s_bucket{le="2.5e-05"} 1`) {
+		t.Fatalf("30 µs counted at or below 25 µs:\n%s", out)
+	}
+}

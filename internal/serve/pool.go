@@ -20,14 +20,13 @@ var ErrScoreDeadline = errors.New("serve: scoring deadline exceeded")
 // ScoreJob per valid relationship; all sessions share the same bounded worker
 // set, so concurrency is governed globally rather than per tenant.
 //
-// When the served models are published at a reduced precision (f32/int8),
-// jobs carry a frozen inference model and the pool batches them: a dispatcher
-// goroutine groups queued jobs by pair model — across tenants, which all
-// share the same *infer.Model for a given registry model — and hands workers
-// whole batches that score through one ScoreBatch GEMM call instead of many
+// Every job carries its pair's scoring engine, at whatever precision the
+// served model is published, and the pool batches them: a dispatcher
+// goroutine groups queued jobs by engine — across tenants, which all share
+// the same *infer.Model for a given registry model — and hands workers whole
+// batches that score through one ScoreBatch GEMM call instead of many
 // matrix-vector passes. Batched and per-job scores are bit-identical (every
-// inference kernel is row-independent), so grouping is invisible to tenants.
-// Float64 jobs have no batch model and run one-per-worker exactly as before.
+// engine kernel is row-independent), so grouping is invisible to tenants.
 type scorePool struct {
 	dispatch chan scoreTask  // submissions, consumed by the dispatcher
 	jobs     chan scoreBatch // ready work, consumed by workers
@@ -57,13 +56,11 @@ type scoreTask struct {
 	done *sync.WaitGroup
 }
 
-// scoreBatch is one unit of worker work: either a single float64 job
-// (tasks nil) or a group of same-model reduced-precision jobs scored with
-// one ScoreBatch call.
+// scoreBatch is one unit of worker work: a group of same-engine jobs scored
+// with one ScoreBatch call.
 type scoreBatch struct {
-	inf    *infer.Model
-	single scoreTask
-	tasks  *[]scoreTask
+	inf   *infer.Model
+	tasks *[]scoreTask
 }
 
 // packScratch is a worker's batch-packing workspace: sentence views in, one
@@ -115,13 +112,12 @@ func newScorePool(workers, batchMax int, linger time.Duration, met *metrics) *sc
 	return p
 }
 
-// dispatcher is the batching scheduler. Jobs without a batch model forward
-// straight to the workers. Jobs with one accumulate per model until the batch
-// is full, the linger window expires, or — with no linger configured — the
-// submission channel runs dry, whichever comes first. A full system degrades
-// gracefully: the dispatcher blocks handing a batch to the workers, new
-// submissions queue in the dispatch buffer, and sessions feel backpressure
-// exactly as with the unbatched pool.
+// dispatcher is the batching scheduler. Jobs accumulate per engine until
+// the batch is full, the linger window expires, or — with no linger
+// configured — the submission channel runs dry, whichever comes first. A
+// full system degrades gracefully: the dispatcher blocks handing a batch to
+// the workers, new submissions queue in the dispatch buffer, and sessions
+// feel backpressure.
 func (p *scorePool) dispatcher() {
 	defer p.dwg.Done()
 	defer close(p.jobs)
@@ -158,10 +154,6 @@ func (p *scorePool) dispatcher() {
 		}
 	}
 	settle := func(b scoreBatch) {
-		if b.tasks == nil {
-			b.single.done.Done()
-			return
-		}
 		for _, t := range *b.tasks {
 			t.done.Done()
 		}
@@ -193,13 +185,6 @@ func (p *scorePool) dispatcher() {
 	}
 	enqueue := func(t scoreTask) {
 		inf := t.job.BatchModel()
-		if inf == nil || p.batchMax <= 1 {
-			b := scoreBatch{single: t}
-			if !forward(b) {
-				settle(b)
-			}
-			return
-		}
 		buf, ok := pending[inf]
 		if !ok {
 			buf = p.taskbuf.Get().(*[]scoreTask)
@@ -258,17 +243,10 @@ func (p *scorePool) dispatcher() {
 	}
 }
 
-// worker scores batches (and lone float64 jobs) until the pool closes.
+// worker scores batches until the pool closes.
 func (p *scorePool) worker() {
 	defer p.wg.Done()
 	for b := range p.jobs {
-		if b.tasks == nil {
-			start := time.Now()
-			b.single.row[b.single.job.Index()] = b.single.job.Run()
-			p.met.scoreLatency.observe(time.Since(start))
-			b.single.done.Done()
-			continue
-		}
 		p.runBatch(b)
 	}
 }

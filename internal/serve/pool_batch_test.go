@@ -11,7 +11,7 @@ import (
 )
 
 // quantizedCopy clones the shared test model (which other tests use at
-// float64) and publishes it at precision p.
+// float64) and publishes it at precision prec.
 func quantizedCopy(t testing.TB, prec mdes.Precision) *mdes.Model {
 	var buf bytes.Buffer
 	if err := testModel(t).Save(&buf); err != nil {
@@ -28,7 +28,7 @@ func quantizedCopy(t testing.TB, prec mdes.Precision) *mdes.Model {
 }
 
 // TestScorePoolBatchesQuantizedJobs drives several concurrent tenant streams
-// of a quantized model through the batching pool and checks the two
+// of an int8 model through the batching pool and checks the two
 // load-bearing properties: batching is invisible (every tenant's scores are
 // bit-identical to the same model scored without the pool — the batch==single
 // kernel invariant, end to end) and batches actually fuse. Jobs group by pair
@@ -36,7 +36,18 @@ func quantizedCopy(t testing.TB, prec mdes.Precision) *mdes.Model {
 // cross-tenant: four streams lingering on the same pairs must produce
 // multi-job ScoreBatch calls.
 func TestScorePoolBatchesQuantizedJobs(t *testing.T) {
-	model := quantizedCopy(t, mdes.PrecisionInt8)
+	checkPoolBatches(t, mdes.PrecisionInt8)
+}
+
+// TestScorePoolBatchesFloat64Jobs is the same check at float64: reference
+// jobs batch across tenants like reduced-precision ones, and their scores
+// stay bit-identical to in-line scoring.
+func TestScorePoolBatchesFloat64Jobs(t *testing.T) {
+	checkPoolBatches(t, mdes.PrecisionF64)
+}
+
+func checkPoolBatches(t *testing.T, prec mdes.Precision) {
+	model := quantizedCopy(t, prec)
 	rng := rand.New(rand.NewSource(321))
 	ds := coupledDataset(rng, 200)
 	readings := make([]map[string]string, ds.Ticks())
@@ -108,50 +119,13 @@ func TestScorePoolBatchesQuantizedJobs(t *testing.T) {
 	if batches == 0 || jobs == 0 {
 		t.Fatalf("no batched scoring recorded: %d batches, %d jobs", batches, jobs)
 	}
+	if n := met.scoreLatency.n.Load(); n != jobs {
+		t.Fatalf("%d per-job latency observations for %d batched jobs", n, jobs)
+	}
 	// Four tenants emit the same pair's job within each linger window, so at
 	// least some calls must have fused >1 job.
 	if jobs <= batches {
 		t.Fatalf("no cross-tenant fusion: %d jobs over %d batches", jobs, batches)
-	}
-}
-
-// TestScorePoolFloat64PathUnbatched pins the routing: float64 jobs carry no
-// batch model and must score through the per-job path, leaving the batch
-// counters untouched.
-func TestScorePoolFloat64PathUnbatched(t *testing.T) {
-	model := testModel(t) // float64
-	rng := rand.New(rand.NewSource(321))
-	ds := coupledDataset(rng, 120)
-
-	var met metrics
-	met.scoreLatency = newHistogram(scoreBuckets)
-	p := newScorePool(2, 64, 5*time.Millisecond, &met)
-	defer p.close()
-
-	stream := model.NewStream()
-	stream.SetScorer(p.score)
-	emitted := 0
-	for tick := 0; tick < ds.Ticks(); tick++ {
-		reading := make(map[string]string, len(ds.Sequences))
-		for _, s := range ds.Sequences {
-			reading[s.Sensor] = s.Events[tick]
-		}
-		pt, err := stream.Push(reading)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pt != nil {
-			emitted++
-		}
-	}
-	if emitted == 0 {
-		t.Fatal("stream emitted nothing")
-	}
-	if b := met.scoreBatches.Load(); b != 0 {
-		t.Fatalf("float64 jobs were batched: %d batches", b)
-	}
-	if n := met.scoreLatency.n.Load(); n == 0 {
-		t.Fatal("no per-job latency observations")
 	}
 }
 

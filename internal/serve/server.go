@@ -42,10 +42,9 @@ type Options struct {
 	// ScoreWorkers sizes the shared pairwise-scoring pool. 0 selects
 	// GOMAXPROCS.
 	ScoreWorkers int
-	// ScoreBatchMax caps how many same-model reduced-precision scoring jobs
-	// the pool fuses into one batched GEMM call (jobs group by pair model
-	// across tenants). 0 selects 64; 1 disables batching. Float64 jobs are
-	// never batched.
+	// ScoreBatchMax caps how many same-model scoring jobs the pool fuses
+	// into one batched GEMM call (jobs group by pair model across tenants),
+	// at every precision. 0 selects 64; 1 disables batching.
 	ScoreBatchMax int
 	// ScoreLinger lets a short batch wait this long for more same-model jobs
 	// before scoring. 0 (the default) is greedy: batches fuse only from work
@@ -487,10 +486,16 @@ func (s *Server) handleTicks(w http.ResponseWriter, r *http.Request) {
 	}
 
 	sc := tickScanner(r.Body)
+	// The first decoded line's map, already grown to one tick's sensors, is
+	// reused for every later line: Push reads the tick and keeps none of it.
+	var scratch map[string]string
 	for sc.Scan() {
-		tick, skip, err := decodeTick(sc.Bytes())
+		tick, skip, err := decodeTick(sc.Bytes(), scratch)
 		if skip {
 			continue
+		}
+		if tick != nil {
+			scratch = tick
 		}
 		if err != nil {
 			s.met.tickErrors.Add(1)

@@ -75,11 +75,16 @@ func tickScanner(r io.Reader) *bufio.Scanner {
 
 // decodeTick parses one NDJSON line into a tick. Blank lines separate
 // nothing and are skipped; any other line must be a flat JSON object mapping
-// sensor names to event strings.
-func decodeTick(line []byte) (tick map[string]string, skip bool, err error) {
+// sensor names to event strings. A non-nil scratch map is cleared and
+// decoded into, so one request reuses a single map for all its lines; the
+// returned tick may alias scratch and is valid until the next call. A
+// "null" line yields a nil tick and leaves scratch alone.
+func decodeTick(line []byte, scratch map[string]string) (tick map[string]string, skip bool, err error) {
 	if len(line) == 0 {
 		return nil, true, nil
 	}
+	clear(scratch)
+	tick = scratch
 	if err := json.Unmarshal(line, &tick); err != nil {
 		return nil, false, err
 	}

@@ -162,11 +162,10 @@ type Model struct {
 	runtimes  []PairRuntime
 	screen    ScreenSummary
 
-	// Frozen reduced-precision inference weights, built by Quantize. Nil maps
-	// with prec == PrecisionF64 mean pure float64 scoring (the paper's
-	// reference path).
-	infPairs map[[2]string]*infer.Model
-	prec     Precision
+	// engines score every pair at precision prec. Every path that installs
+	// pair models (training, Load, Quantize) leaves one engine per pair.
+	engines map[[2]string]*infer.Model
+	prec    Precision
 }
 
 // ScreenSummary records the candidate-pair screening decision of a training
@@ -507,6 +506,9 @@ func (f *Framework) TrainWithOptions(ctx context.Context, train, dev *seqio.Data
 		}
 		m.pairs[[2]string{r.Src, r.Tgt}] = r.Model
 		m.runtimes = append(m.runtimes, PairRuntime{Src: r.Src, Tgt: r.Tgt, Runtime: r.Runtime})
+	}
+	if err := m.Quantize(PrecisionF64); err != nil {
+		return nil, err
 	}
 	return m, nil
 }

@@ -152,42 +152,31 @@ func (m *Model) testScores(ctx context.Context, test *seqio.Dataset, det *anomal
 					continue
 				}
 				rel := rels[k]
-				model := m.pairs[[2]string{rel.Src, rel.Tgt}]
-				if model == nil {
+				im := m.engines[[2]string{rel.Src, rel.Tgt}]
+				if im == nil {
 					setErr(fmt.Errorf("%w %s->%s", ErrNoPairModel, rel.Src, rel.Tgt))
 					continue
 				}
 				src, tgt := sents[rel.Src], sents[rel.Tgt]
-				if im := m.inferFor([2]string{rel.Src, rel.Tgt}); im != nil {
-					// Quantized path: one GEMM batch per chunk of timestamps
-					// instead of one GEMV decode per sentence. The chunk size
-					// doubles as the cancellation-check stride.
-					buf := make([]float64, ctxCheckStride)
-					for t0 := 0; t0 < steps; t0 += ctxCheckStride {
-						if ctx.Err() != nil {
-							setErr(ctx.Err())
-							break
-						}
-						hi := t0 + ctxCheckStride
-						if hi > steps {
-							hi = steps
-						}
-						im.ScoreBatch(src[t0:hi], tgt[t0:hi], buf[:hi-t0])
-						for i, v := range buf[:hi-t0] {
-							scores[t0+i][k] = v
-						}
-					}
-					continue
-				}
-				for t := 0; t < steps; t++ {
-					// Re-check cancellation periodically: one relationship can
-					// cover thousands of timestamps, and waiting for the whole
-					// column would make Detect cancellation sluggish.
-					if t%ctxCheckStride == 0 && ctx.Err() != nil {
+				// One GEMM batch per chunk of timestamps instead of one GEMV
+				// decode per sentence. The chunk size doubles as the
+				// cancellation-check stride: one relationship can cover
+				// thousands of timestamps, and waiting for the whole column
+				// would make Detect cancellation sluggish.
+				buf := make([]float64, ctxCheckStride)
+				for t0 := 0; t0 < steps; t0 += ctxCheckStride {
+					if ctx.Err() != nil {
 						setErr(ctx.Err())
 						break
 					}
-					scores[t][k] = nmt.ScoreSentence(model, src[t], tgt[t])
+					hi := t0 + ctxCheckStride
+					if hi > steps {
+						hi = steps
+					}
+					im.ScoreBatch(src[t0:hi], tgt[t0:hi], buf[:hi-t0])
+					for i, v := range buf[:hi-t0] {
+						scores[t0+i][k] = v
+					}
 				}
 			}
 		}()
@@ -313,12 +302,14 @@ func (m *Model) Save(w io.Writer) error {
 	for key, model := range m.pairs {
 		p.Pairs[key[0]+string(pairKeySep)+key[1]] = model.State()
 	}
+	// Reduced-precision engines are persisted in the quant section; F64
+	// engines are rebuilt from the training weights on load.
 	if m.prec != PrecisionF64 {
 		p.Quant = &persistedQuant{
 			Precision: m.prec.String(),
-			Pairs:     make(map[string]infer.State, len(m.infPairs)),
+			Pairs:     make(map[string]infer.State, len(m.engines)),
 		}
-		for key, im := range m.infPairs {
+		for key, im := range m.engines {
 			p.Quant.Pairs[key[0]+string(pairKeySep)+key[1]] = im.State()
 		}
 	}
@@ -352,6 +343,7 @@ func Load(r io.Reader) (*Model, error) {
 		graph:     graph.New(),
 		languages: make(map[string]*lang.Language, len(p.Languages)),
 		pairs:     make(map[[2]string]*nmt.Model, len(p.Pairs)),
+		engines:   make(map[[2]string]*infer.Model, len(p.Pairs)),
 		dropped:   p.Dropped,
 		runtimes:  p.Runtimes,
 		screen:    p.Screen,
@@ -402,6 +394,15 @@ func Load(r io.Reader) (*Model, error) {
 			return nil, fmt.Errorf("mdes: pair %s->%s: %w", src, tgt, err)
 		}
 		m.pairs[[2]string{src, tgt}] = model
+		if p.Quant == nil {
+			// LoadModel copied the weights, so the float64 engine can own
+			// the decoded ones.
+			im, err := infer.FromState(st, PrecisionF64)
+			if err != nil {
+				return nil, fmt.Errorf("%w: pair %s->%s: %v", ErrCorruptModel, src, tgt, err)
+			}
+			m.engines[[2]string{src, tgt}] = im
+		}
 	}
 	if p.Quant != nil {
 		if err := m.loadQuant(p.Quant); err != nil {
@@ -454,7 +455,7 @@ func (m *Model) loadQuant(q *persistedQuant) error {
 	if len(infs) != len(m.pairs) {
 		return fmt.Errorf("%w: quant section covers %d of %d pairs", ErrCorruptModel, len(infs), len(m.pairs))
 	}
-	m.infPairs = infs
+	m.engines = infs
 	m.prec = prec
 	return nil
 }

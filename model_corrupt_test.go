@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
+
+	"mdes/internal/nmt"
 )
 
 // mutateModelJSON round-trips a saved model through raw JSON, letting a test
@@ -158,6 +161,37 @@ func TestLoadRejectsMalformedPairKey(t *testing.T) {
 	})
 	if _, err := Load(malformed); !errors.Is(err, ErrCorruptModel) {
 		t.Fatalf("malformed pair key: err = %v, want ErrCorruptModel", err)
+	}
+}
+
+// TestLoadRejectsExtraPairTensor: Load builds each pair's float64 scoring
+// engine from the persisted state, and a tensor the architecture does not use
+// is a corrupt pair, reported as ErrCorruptModel like every other Load
+// validation failure.
+func TestLoadRejectsExtraPairTensor(t *testing.T) {
+	model := trainTiny(t)
+	extra := mutateModelJSON(t, model, func(raw map[string]json.RawMessage) {
+		var pairs map[string]nmt.State
+		if err := json.Unmarshal(raw["pairs"], &pairs); err != nil {
+			t.Fatal(err)
+		}
+		for key, st := range pairs {
+			st.Weights["bogus"] = []float64{1}
+			pairs[key] = st
+			break
+		}
+		out, err := json.Marshal(pairs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw["pairs"] = out
+	})
+	_, err := Load(extra)
+	if !errors.Is(err, ErrCorruptModel) {
+		t.Fatalf("extra pair tensor: err = %v, want ErrCorruptModel", err)
+	}
+	if !strings.Contains(err.Error(), "->") {
+		t.Fatalf("extra pair tensor: err = %v, want it to name the pair", err)
 	}
 }
 

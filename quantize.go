@@ -4,15 +4,18 @@ import (
 	"fmt"
 
 	"mdes/internal/infer"
+	"mdes/internal/nmt"
 )
 
-// Precision selects the numeric path pair models score with. Training is
-// always float64; PrecisionF32 and PrecisionInt8 activate the batched
-// reduced-precision inference engine (internal/infer) built by Quantize.
+// Precision selects the weight format pair models score with. Training is
+// always float64; every precision scores through the batched inference
+// engine (internal/infer).
 type Precision = infer.Precision
 
-// The scoring precisions. PrecisionF64 is the zero value: the float64
-// training weights score directly, exactly as the paper's reference path.
+// The scoring precisions. PrecisionF64 is the zero value: the engine runs on
+// the float64 training weights and scores bit for bit like the paper's
+// reference path. PrecisionF32 and PrecisionInt8 are the reduced-precision
+// formats.
 const (
 	PrecisionF64  = infer.F64
 	PrecisionF32  = infer.F32
@@ -23,56 +26,51 @@ const (
 // "int8" and common aliases).
 func ParsePrecision(s string) (Precision, error) { return infer.ParsePrecision(s) }
 
-// Quantize freezes every pair model into reduced-precision inference weights
-// at precision p — the publish step of the f64-train/f32-serve boundary. The
-// float64 training weights stay untouched (and keep serving as the reference
-// path); scoring entry points (ScoreJob.Run, TestScores, Detect, streams) use
-// the frozen weights until Quantize is called again. PrecisionF64 drops the
-// frozen weights and restores pure float64 scoring.
+// Quantize rebuilds every pair model's scoring engine at precision p — the
+// publish step of the f64-train/serve boundary. The float64 training
+// weights stay untouched; scoring entry points (ScoreJob.Run, TestScores,
+// Detect, streams) use the engines of the active precision until Quantize
+// is called again. Asking for the active precision is a no-op: the engines
+// are a pure function of the unchanged training weights.
 //
 // Quantize is not safe to call concurrently with scoring; publish before
 // serving traffic.
 func (m *Model) Quantize(p Precision) error {
-	if p == PrecisionF64 {
-		m.infPairs = nil
-		m.prec = PrecisionF64
+	if p == m.prec && m.engines != nil {
 		return nil
 	}
-	infs := make(map[[2]string]*infer.Model, len(m.pairs))
+	engines := make(map[[2]string]*infer.Model, len(m.pairs))
 	for key, pm := range m.pairs {
-		im, err := infer.FromState(pm.State(), p)
-		if err != nil {
-			return fmt.Errorf("mdes: quantize pair %s->%s: %w", key[0], key[1], err)
+		if err := addEngine(engines, key, pm.State(), p); err != nil {
+			return err
 		}
-		infs[key] = im
 	}
-	m.infPairs = infs
+	m.engines = engines
 	m.prec = p
+	return nil
+}
+
+// addEngine builds one pair's engine from its training state. At F64 the
+// engine takes ownership of st.Weights, so st must not be shared.
+func addEngine(engines map[[2]string]*infer.Model, key [2]string, st nmt.State, p Precision) error {
+	im, err := infer.FromState(st, p)
+	if err != nil {
+		return fmt.Errorf("mdes: quantize pair %s->%s: %w", key[0], key[1], err)
+	}
+	engines[key] = im
 	return nil
 }
 
 // ScorePrecision reports the active scoring precision.
 func (m *Model) ScorePrecision() Precision { return m.prec }
 
-// PairModelBytes reports the resident weight memory of all pair models at the
-// active scoring precision — the per-tenant cost of keeping this model
-// servable. Float64 counts the training weights; quantized precisions count
-// the frozen inference weights instead (the float64 weights can be released
-// by the caller once published, e.g. by reloading only the quant section).
+// PairModelBytes reports the resident weight memory of all pair-model
+// engines at the active scoring precision — the per-tenant cost of keeping
+// this model servable.
 func (m *Model) PairModelBytes() int64 {
 	var total int64
-	if m.prec != PrecisionF64 {
-		for _, im := range m.infPairs {
-			total += int64(im.MemoryBytes())
-		}
-		return total
-	}
-	for _, pm := range m.pairs {
-		total += int64(pm.ParamCount()) * 8
+	for _, im := range m.engines {
+		total += int64(im.MemoryBytes())
 	}
 	return total
 }
-
-// inferFor returns the frozen inference model for a pair, or nil when scoring
-// runs at float64.
-func (m *Model) inferFor(key [2]string) *infer.Model { return m.infPairs[key] }

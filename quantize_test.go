@@ -261,3 +261,46 @@ func TestParsePrecision(t *testing.T) {
 		t.Error("ParsePrecision accepted f16")
 	}
 }
+
+// TestEnginesCompleteAtActivePrecision pins the engine invariant every
+// scoring path relies on: training, Load (with and without a quant section)
+// and Quantize each leave exactly one engine per pair model, at the active
+// precision.
+func TestEnginesCompleteAtActivePrecision(t *testing.T) {
+	check := func(label string, m *Model, want Precision) {
+		t.Helper()
+		if m.ScorePrecision() != want {
+			t.Fatalf("%s: precision %v, want %v", label, m.ScorePrecision(), want)
+		}
+		if len(m.engines) != len(m.pairs) {
+			t.Fatalf("%s: %d engines for %d pair models", label, len(m.engines), len(m.pairs))
+		}
+		for key := range m.pairs {
+			im := m.engines[key]
+			if im == nil || im.Precision() != want {
+				t.Fatalf("%s: pair %v engine %v, want one at %v", label, key, im, want)
+			}
+		}
+	}
+	model := trainTiny(t)
+	check("trained", model, PrecisionF64)
+	reload := func(label string, want Precision) {
+		var buf bytes.Buffer
+		if err := model.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := Load(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(label, loaded, want)
+	}
+	reload("loaded f64", PrecisionF64)
+	for _, p := range []Precision{PrecisionInt8, PrecisionF32, PrecisionF64} {
+		if err := model.Quantize(p); err != nil {
+			t.Fatal(err)
+		}
+		check("quantized "+p.String(), model, p)
+		reload("loaded "+p.String(), p)
+	}
+}

@@ -7,7 +7,6 @@ import (
 	"mdes/internal/anomaly"
 	"mdes/internal/infer"
 	"mdes/internal/lang"
-	"mdes/internal/nmt"
 )
 
 // Stream is an online detector: it consumes one tick of sensor readings at a
@@ -82,11 +81,10 @@ func (m *Model) NewStream() *Stream {
 func (s *Stream) SentenceSpan() int { return s.span }
 
 // ScoreJob is one pairwise relationship-scoring task produced by a completed
-// sentence window: translate the source sensor's sentence with the pair's NMT
-// model and score it against the observed target sentence.
+// sentence window: translate the source sensor's sentence with the pair's
+// scoring engine and score it against the observed target sentence.
 type ScoreJob struct {
 	k                int
-	model            *nmt.Model
 	inf              *infer.Model
 	src, tgt         []int
 	srcName, tgtName string
@@ -99,10 +97,10 @@ func (j *ScoreJob) Index() int { return j.k }
 // Pair returns the sensor names of the relationship being scored.
 func (j *ScoreJob) Pair() (src, tgt string) { return j.srcName, j.tgtName }
 
-// BatchModel returns the job's frozen inference model, or nil when the model
-// scores at float64. Jobs sharing a BatchModel — across streams and tenants —
-// can be packed into one ScoreBatch call; each score is bit-identical to
-// Run on the same job, so batching is invisible to detection verdicts.
+// BatchModel returns the pair's scoring engine at the model's active
+// precision. Jobs sharing a BatchModel — across streams and tenants — can be
+// packed into one ScoreBatch call; each score is bit-identical to Run on the
+// same job, so batching is invisible to detection verdicts.
 func (j *ScoreJob) BatchModel() *infer.Model { return j.inf }
 
 // Sentences returns the job's encoded source and observed-target sentences
@@ -112,12 +110,7 @@ func (j *ScoreJob) Sentences() (src, tgt []int) { return j.src, j.tgt }
 // Run computes the job's score f(i,j) — the smoothed sentence BLEU of the
 // model's translation against the observed target sentence. Run is safe to
 // call from any goroutine; distinct jobs may run concurrently.
-func (j *ScoreJob) Run() float64 {
-	if j.inf != nil {
-		return j.inf.ScoreSentence(j.src, j.tgt)
-	}
-	return nmt.ScoreSentence(j.model, j.src, j.tgt)
-}
+func (j *ScoreJob) Run() float64 { return j.inf.ScoreSentence(j.src, j.tgt) }
 
 // SetScorer replaces the stream's serial relationship scorer. The function
 // must fill row[j.Index()] = j.Run() (or an equivalent score) for every job
@@ -198,13 +191,13 @@ func (s *Stream) emit() (*Point, error) {
 
 	jobs := s.jobs[:0]
 	for k, rel := range s.rels {
-		m := s.model.pairs[[2]string{rel.Src, rel.Tgt}]
-		if m == nil {
+		inf := s.model.engines[[2]string{rel.Src, rel.Tgt}]
+		if inf == nil {
 			//mdes:allow(noalloc) cold error path: a missing pair model is a corrupt-model condition
 			return nil, fmt.Errorf("%w %s->%s", ErrNoPairModel, rel.Src, rel.Tgt)
 		}
 		jobs = append(jobs, ScoreJob{
-			k: k, model: m, inf: s.model.inferFor([2]string{rel.Src, rel.Tgt}),
+			k: k, inf: inf,
 			src: s.sent[rel.Src], tgt: s.sent[rel.Tgt],
 			srcName: rel.Src, tgtName: rel.Tgt,
 		})
