@@ -12,6 +12,7 @@ import (
 
 	"mdes"
 	"mdes/internal/faultfs"
+	"mdes/internal/faultnet"
 	"mdes/internal/serve"
 )
 
@@ -56,11 +57,18 @@ var deadHandler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) 
 })
 
 // startReplica boots (or reboots) the serve process behind a replica's
-// address, against whatever state its disk holds.
-func startReplica(rep *replica, peers []string, model *mdes.Model) error {
+// address, against whatever state its disk holds. A non-empty standbyDir
+// turns warm-standby replication on; a non-nil net routes the replica's
+// cluster traffic (probes, handoffs, replication) through faultnet.
+func startReplica(rep *replica, peers []string, model *mdes.Model, standbyDir string, net *faultnet.Transport) error {
+	var hc *http.Client
+	if net != nil {
+		hc = &http.Client{Transport: net}
+	}
 	srv, err := serve.New(serve.Options{
 		Models:        map[string]*mdes.Model{"m": model},
 		SnapshotDir:   "snaps",
+		StandbyDir:    standbyDir,
 		FS:            rep.fs,
 		ScoreWorkers:  2,
 		MaxInflight:   8,
@@ -68,7 +76,8 @@ func startReplica(rep *replica, peers []string, model *mdes.Model) error {
 		Advertise:     rep.url,
 		RetryAfter:    10 * time.Millisecond, // header "0": clients retry at their own pace
 		ProbeInterval: 25 * time.Millisecond,
-		PendingTTL:    2 * time.Second,
+		PendingTTL:    5 * time.Second,
+		ClusterClient: hc,
 	})
 	if err != nil {
 		return err
@@ -132,7 +141,7 @@ func clusterIteration(ctx context.Context, rng *rand.Rand, seed int64, it int, m
 		peers[i] = r.url
 	}
 	for _, r := range replicas {
-		if err := startReplica(r, peers, model); err != nil {
+		if err := startReplica(r, peers, model, "", nil); err != nil {
 			return err
 		}
 	}
@@ -161,7 +170,7 @@ func clusterIteration(ctx context.Context, rng *rand.Rand, seed int64, it int, m
 				rep.HardKills++
 				replicas[victim].handler.Store(replicaBox{deadHandler})
 				_ = replicas[victim].srv.Shutdown(ctx) // reclaim goroutines; disk already holds boundary state
-				if err := startReplica(replicas[victim], peers, model); err != nil {
+				if err := startReplica(replicas[victim], peers, model, "", nil); err != nil {
 					return err
 				}
 			} else {

@@ -2,17 +2,17 @@ package chaos
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
 	"math/rand"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
 
 	"mdes"
-	"mdes/internal/checkpoint"
 	"mdes/internal/faultfs"
+	"mdes/internal/record"
 	"mdes/internal/serve"
 )
 
@@ -24,14 +24,6 @@ const (
 	serveTicks = 36 // ticks pushed per tenant per iteration
 	serveBatch = 6  // ticks per request; snapshots land on these boundaries
 )
-
-// snapMirror decodes the serve layer's snapshot record (the wire format is
-// part of the durability contract; the soak checks it from the outside).
-type snapMirror struct {
-	Tenant string              `json:"tenant"`
-	Model  string              `json:"model"`
-	Stream mdes.StreamSnapshot `json:"stream"`
-}
 
 // ServeSoakReport summarises one ServeSoak run.
 type ServeSoakReport struct {
@@ -257,23 +249,21 @@ func ServeSoak(ctx context.Context, seed int64, iters int) (ServeSoakReport, err
 // filesystem and validates it against the reference boundaries, returning
 // the tick count the tenant will resume from (0 = fresh start).
 func restoredTicks(ifs *faultfs.InjectFS, dir, tenant string, bounds map[int]mdes.StreamSnapshot) (int, error) {
-	path := snapshotFile(dir, tenant)
-	data, err := ifs.ReadFile(path)
+	data, err := ifs.ReadFile(filepath.Join(dir, record.SnapshotFile(tenant)))
 	if errors.Is(err, fs.ErrNotExist) {
 		return 0, nil
 	}
 	if err != nil {
 		return 0, fmt.Errorf("tenant %q: read snapshot: %w", tenant, err)
 	}
-	payloads, _, _ := checkpoint.Frames(data)
-	if len(payloads) == 0 {
+	snap, _, err := record.Decode(data)
+	if errors.Is(err, record.ErrTorn) {
 		// The install path syncs file content before the rename, so an
 		// installed snapshot must never read torn — if it does, the
 		// tmp+fsync+rename+syncdir chain has a hole.
 		return 0, fmt.Errorf("tenant %q: installed snapshot is torn (%d bytes, no intact frame)", tenant, len(data))
 	}
-	var snap snapMirror
-	if err := json.Unmarshal(payloads[len(payloads)-1], &snap); err != nil {
+	if err != nil {
 		return 0, fmt.Errorf("tenant %q: snapshot decode: %w", tenant, err)
 	}
 	want, ok := bounds[snap.Stream.Ticks]
@@ -297,10 +287,4 @@ func auditTenant(ifs *faultfs.InjectFS, dir, tenant string, bounds map[int]mdes.
 		return fmt.Errorf("tenant %q: final snapshot at tick %d, want %d", tenant, n, wantTicks)
 	}
 	return nil
-}
-
-// snapshotFile mirrors the serve layer's tenant → path mapping (hex-encoded
-// tenant + ".snap"); the soak reads snapshots from outside the server.
-func snapshotFile(dir, tenant string) string {
-	return fmt.Sprintf("%s/%x.snap", dir, []byte(tenant))
 }

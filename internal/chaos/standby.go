@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"time"
@@ -19,6 +20,7 @@ import (
 	"mdes/internal/cluster"
 	"mdes/internal/faultfs"
 	"mdes/internal/faultnet"
+	"mdes/internal/record"
 	"mdes/internal/serve"
 )
 
@@ -79,37 +81,6 @@ var connResetHandler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Requ
 	}
 })
 
-// startStandbyReplica boots (or reboots) a replica with warm-standby
-// replication on, its cluster traffic routed through net.
-func startStandbyReplica(rep *replica, peers []string, model *mdes.Model, net *faultnet.Transport) error {
-	srv, err := serve.New(serve.Options{
-		Models:        map[string]*mdes.Model{"m": model},
-		SnapshotDir:   "snaps",
-		StandbyDir:    standbyDir,
-		FS:            rep.fs,
-		ScoreWorkers:  2,
-		MaxInflight:   8,
-		Peers:         peers,
-		Advertise:     rep.url,
-		RetryAfter:    10 * time.Millisecond, // header "0": clients retry at their own pace
-		ProbeInterval: 25 * time.Millisecond,
-		PendingTTL:    5 * time.Second,
-		ClusterClient: &http.Client{Transport: net},
-	})
-	if err != nil {
-		return err
-	}
-	rep.srv = srv
-	rep.handler.Store(replicaBox{srv})
-	return nil
-}
-
-// standbyFile mirrors the serve layer's (owner, tenant) → standby path
-// mapping; the soaks read replicated copies from outside the server.
-func standbyFile(dir, owner, tenant string) string {
-	return fmt.Sprintf("%s/%x-%x.standby", dir, []byte(owner), []byte(tenant))
-}
-
 // waitStandbyTicks polls a replica's standby store until it holds a copy of
 // tenant (keyed by owner) with at least want ticks, returning how long that
 // took — the observed replication lag from batch acknowledgement to durable
@@ -118,9 +89,9 @@ func waitStandbyTicks(ifs *faultfs.InjectFS, owner, tenant string, want int) (ti
 	start := time.Now()
 	deadline := start.Add(15 * time.Second)
 	for {
-		data, err := ifs.ReadFile(standbyFile(standbyDir, owner, tenant))
+		data, err := ifs.ReadFile(filepath.Join(standbyDir, record.StandbyFile(owner, tenant)))
 		if err == nil {
-			if h, derr := cluster.DecodeHandoff(data); derr == nil && h.Ticks >= want {
+			if h, _, derr := record.DecodeHeader(data); derr == nil && h.Stream.Ticks >= want {
 				return time.Since(start), nil
 			}
 		} else if !errors.Is(err, fs.ErrNotExist) {
@@ -207,7 +178,7 @@ func newStandbyHarness(seed int64, it int, model *mdes.Model) (*standbyHarness, 
 		h.nets = append(h.nets, faultnet.New(nil, seed*5_000_011+int64(it*clusterReplicas+i), standingNetFaults()))
 	}
 	for i, r := range h.replicas {
-		if err := startStandbyReplica(r, h.peers, model, h.nets[i]); err != nil {
+		if err := startReplica(r, h.peers, model, standbyDir, h.nets[i]); err != nil {
 			h.close()
 			return nil, err
 		}
@@ -277,9 +248,9 @@ func (h *standbyHarness) surveyTenant(ctx context.Context, owner, tenant string)
 	var b strings.Builder
 	for i, rep := range h.replicas {
 		fmt.Fprintf(&b, "\n  replica %d (%s):", i, h.peers[i])
-		if data, err := rep.fs.ReadFile(standbyFile(standbyDir, owner, tenant)); err == nil {
-			if hh, derr := cluster.DecodeHandoff(data); derr == nil {
-				fmt.Fprintf(&b, " copy@%d", hh.Ticks)
+		if data, err := rep.fs.ReadFile(filepath.Join(standbyDir, record.StandbyFile(owner, tenant))); err == nil {
+			if hh, _, derr := record.DecodeHeader(data); derr == nil {
+				fmt.Fprintf(&b, " copy@%d", hh.Stream.Ticks)
 			} else {
 				fmt.Fprintf(&b, " copy-undecodable(%v)", derr)
 			}
@@ -440,7 +411,7 @@ func diskLossIteration(ctx context.Context, rng *rand.Rand, seed int64, it int, 
 			h.replicas[victim].fs = faultfs.NewInject(seed*9_000_041+int64(it), faultfs.Faults{})
 		}
 		if off == reviveAt {
-			if err := startStandbyReplica(h.replicas[victim], h.peers, model, h.nets[victim]); err != nil {
+			if err := startReplica(h.replicas[victim], h.peers, model, standbyDir, h.nets[victim]); err != nil {
 				return err
 			}
 		}

@@ -10,69 +10,34 @@ import (
 	"net/http"
 	"strconv"
 	"time"
-
-	"mdes/internal/checkpoint"
 )
 
 // Internal cluster endpoints, mounted by the serve layer on every replica.
 const (
-	// HandoffPath receives one tenant's frozen session snapshot.
+	// HandoffPath receives one tenant's frozen session record.
 	HandoffPath = "/v1/cluster/handoff"
 	// UpdatePath receives peer announcements (hello on join, leave on
 	// drain) that adjust the receiver's membership view.
 	UpdatePath = "/v1/cluster/update"
-	// ReplicatePath receives one tenant's warm-standby snapshot copy. Same
-	// frame format and idempotency key as HandoffPath, but the receiver
+	// ReplicatePath receives one tenant's warm-standby record copy. Same
+	// record format and idempotency key as HandoffPath, but the receiver
 	// persists the record in its standby store instead of installing a live
 	// session — ownership does not move with a replica.
 	ReplicatePath = "/v1/cluster/replicate"
 )
 
-// Handoff is one tenant migration: the opaque session snapshot plus enough
-// metadata for the receiver to order it. Payload is whatever the serve
-// layer serializes (cluster stays ignorant of session internals — the serve
-// package imports cluster, never the reverse); Ticks is the snapshot's
-// stream position and is the idempotency key: a receiver that already holds
-// state at >= Ticks treats the handoff as a duplicate and answers 200
-// without touching anything, which is what makes retries and crossed
-// deliveries safe.
+// Handoff is one encoded session record in flight to a peer: a migration
+// (HandoffPath) or a warm-standby copy (ReplicatePath). Body is opaque here
+// (internal/record owns the format, and cluster stays ignorant of session
+// internals) and is POSTed as is. Ticks is the record's stream position and
+// the idempotency key: a receiver that already holds state at >= Ticks
+// treats the record as a duplicate and answers 200 without touching
+// anything, which is what makes retries and crossed deliveries safe. Here it
+// orders coalescing in ReplQueue.
 type Handoff struct {
-	Tenant  string          `json:"tenant"`
-	Model   string          `json:"model"`
-	Ticks   int             `json:"ticks"`
-	From    string          `json:"from"`
-	Payload json.RawMessage `json:"payload"`
-}
-
-// EncodeHandoff wraps the handoff in the checkpoint frame format
-// (length + CRC-32 + payload), reusing the crash-proven framing so a
-// truncated or corrupted body is detected before any state changes.
-func EncodeHandoff(h Handoff) ([]byte, error) {
-	payload, err := json.Marshal(h)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: encode handoff %s: %w", h.Tenant, err)
-	}
-	return checkpoint.AppendFrame(nil, payload), nil
-}
-
-// ErrBadFrame reports a handoff body whose frame is short or fails its CRC.
-var ErrBadFrame = errors.New("cluster: handoff frame truncated or corrupt")
-
-// DecodeHandoff validates the frame and decodes the handoff. Exactly one
-// frame must be present and intact.
-func DecodeHandoff(data []byte) (Handoff, error) {
-	payloads, valid, _ := checkpoint.Frames(data)
-	if len(payloads) != 1 || valid != len(data) {
-		return Handoff{}, ErrBadFrame
-	}
-	var h Handoff
-	if err := json.Unmarshal(payloads[0], &h); err != nil {
-		return Handoff{}, fmt.Errorf("cluster: decode handoff: %w", err)
-	}
-	if h.Tenant == "" {
-		return Handoff{}, errors.New("cluster: handoff without tenant")
-	}
-	return h, nil
+	Tenant string
+	Ticks  int
+	Body   []byte
 }
 
 // PeerUpdate is a peer announcement POSTed to UpdatePath.
@@ -166,15 +131,11 @@ func (s *Sender) Send(ctx context.Context, peer string, h Handoff) error {
 	return s.SendTo(ctx, peer, HandoffPath, h)
 }
 
-// SendTo ships one handoff-framed record to an explicit endpoint on peer:
+// SendTo ships one record to an explicit endpoint on peer:
 // HandoffPath moves ownership, ReplicatePath feeds the peer's warm-standby
 // store. Retry semantics are identical — both receivers are idempotent on
 // the Ticks key, so redelivery is always safe.
 func (s *Sender) SendTo(ctx context.Context, peer, path string, h Handoff) error {
-	body, err := EncodeHandoff(h)
-	if err != nil {
-		return err
-	}
 	var lastErr error
 	for attempt := 0; attempt < s.attempts(); attempt++ {
 		if attempt > 0 {
@@ -183,7 +144,7 @@ func (s *Sender) SendTo(ctx context.Context, peer, path string, h Handoff) error
 				return err
 			}
 		}
-		lastErr = s.post(ctx, peer+path, "application/octet-stream", body, nil)
+		lastErr = s.post(ctx, peer+path, "application/octet-stream", h.Body, nil)
 		if lastErr == nil {
 			return nil
 		}

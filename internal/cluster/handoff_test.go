@@ -1,9 +1,10 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -11,48 +12,26 @@ import (
 	"time"
 )
 
-func TestHandoffRoundTrip(t *testing.T) {
-	h := Handoff{
-		Tenant:  "plant-7",
-		Model:   "default",
-		Ticks:   123,
-		From:    "http://replica-0:9090",
-		Payload: json.RawMessage(`{"stream":{"ticks":123}}`),
-	}
-	data, err := EncodeHandoff(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeHandoff(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Tenant != h.Tenant || got.Model != h.Model || got.Ticks != h.Ticks || got.From != h.From {
-		t.Fatalf("round trip mangled metadata: %+v", got)
-	}
-	if string(got.Payload) != string(h.Payload) {
-		t.Fatalf("round trip mangled payload: %s", got.Payload)
-	}
-}
+// TestSenderPostsBodyVerbatim: the sender ships the record bytes it is
+// handed, untouched — the receiver's CRC check covers exactly what the
+// owner encoded.
+func TestSenderPostsBodyVerbatim(t *testing.T) {
+	body := []byte("\x00\x01opaque record\xff")
+	var got []byte
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != ReplicatePath {
+			t.Errorf("unexpected path %s", r.URL.Path)
+		}
+		got, _ = io.ReadAll(r.Body)
+	}))
+	defer srv.Close()
 
-func TestDecodeHandoffRejectsCorruption(t *testing.T) {
-	data, err := EncodeHandoff(Handoff{Tenant: "t", Ticks: 1, Payload: json.RawMessage(`{}`)})
-	if err != nil {
+	s := &Sender{HTTPClient: srv.Client()}
+	if err := s.SendTo(context.Background(), srv.URL, ReplicatePath, Handoff{Tenant: "t", Ticks: 1, Body: body}); err != nil {
 		t.Fatal(err)
 	}
-	// Flip a payload byte: the CRC must catch it.
-	bad := append([]byte(nil), data...)
-	bad[len(bad)-1] ^= 0xFF
-	if _, err := DecodeHandoff(bad); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("corrupted frame decoded: err=%v", err)
-	}
-	// Truncate: short frame.
-	if _, err := DecodeHandoff(data[:len(data)-3]); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("truncated frame decoded: err=%v", err)
-	}
-	// Trailing garbage after the frame must not be silently ignored.
-	if _, err := DecodeHandoff(append(append([]byte(nil), data...), 'x')); !errors.Is(err, ErrBadFrame) {
-		t.Fatalf("frame with trailing garbage decoded: err=%v", err)
+	if !bytes.Equal(got, body) {
+		t.Fatalf("peer received %q, want %q", got, body)
 	}
 }
 
@@ -77,7 +56,7 @@ func TestSenderRetriesUntilAck(t *testing.T) {
 		BaseDelay:  time.Millisecond,
 		Sleep:      func(d time.Duration) { slept = append(slept, d) },
 	}
-	h := Handoff{Tenant: "t", Ticks: 5, Payload: json.RawMessage(`{}`)}
+	h := Handoff{Tenant: "t", Ticks: 5, Body: []byte("x")}
 	if err := s.Send(context.Background(), srv.URL, h); err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +86,7 @@ func TestSenderHonorsRetryAfterHint(t *testing.T) {
 		BaseDelay:  time.Millisecond,
 		Sleep:      func(d time.Duration) { slept = append(slept, d) },
 	}
-	err := s.Send(context.Background(), srv.URL, Handoff{Tenant: "t", Payload: json.RawMessage(`{}`)})
+	err := s.Send(context.Background(), srv.URL, Handoff{Tenant: "t", Body: []byte("x")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +104,7 @@ func TestSenderTerminalOn4xx(t *testing.T) {
 	defer srv.Close()
 
 	s := &Sender{HTTPClient: srv.Client(), BaseDelay: time.Millisecond, Sleep: func(time.Duration) {}}
-	err := s.Send(context.Background(), srv.URL, Handoff{Tenant: "t", Payload: json.RawMessage(`{}`)})
+	err := s.Send(context.Background(), srv.URL, Handoff{Tenant: "t", Body: []byte("x")})
 	if err == nil {
 		t.Fatal("4xx did not fail the send")
 	}

@@ -2,14 +2,13 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"sync"
 	"testing"
 	"time"
 )
 
 func replHandoff(tenant string, ticks int) Handoff {
-	return Handoff{Tenant: tenant, Model: "m", Ticks: ticks, From: "http://self", Payload: json.RawMessage(`{}`)}
+	return Handoff{Tenant: tenant, Ticks: ticks, Body: []byte("record")}
 }
 
 // TestReplQueueCoalescesNewestPerTenant: two offers for one tenant must ship

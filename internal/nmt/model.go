@@ -183,9 +183,6 @@ func NewModel(cfg Config, seed int64) (*Model, error) {
 // Config returns the model's configuration.
 func (m *Model) Config() Config { return m.cfg }
 
-// ParamCount returns the number of trainable scalars.
-func (m *Model) ParamCount() int { return m.params.Count() }
-
 // State is a serialisable snapshot of a trained model.
 type State struct {
 	Config  Config               `json:"config"`

@@ -88,45 +88,35 @@ type AttnStep struct {
 	HTilde  []float64
 }
 
-// Forward computes the attentional hidden state h̃ for decoder hidden h over
-// the encoder states enc (each of length Hidden). enc must be non-empty.
-func (a *LuongAttention) Forward(enc [][]float64, h []float64) *AttnStep {
-	return a.ForwardWS(nil, enc, h)
-}
-
-// ForwardWS is Forward with the weights/context/score buffers drawn from ws
-// (nil ws allocates). The returned cache is valid until ws.Reset.
+// ForwardWS computes the attentional hidden state h̃ for decoder hidden h
+// over the encoder states enc (each of length Hidden), drawing the
+// weights/context/score buffers from ws. enc must be non-empty. The
+// returned cache is valid until ws.Reset.
 //
 //mdes:noalloc
 func (a *LuongAttention) ForwardWS(ws *Workspace, enc [][]float64, h []float64) *AttnStep {
 	checkLen("attention h", len(h), a.Hidden)
 	n := len(enc)
-	var st *AttnStep
-	//mdes:allow(noalloc) nil-workspace fallback: the heap path serves only the WS-less compat API
-	if ws == nil {
-		st = &AttnStep{}
-	} else {
-		st = ws.attnStep()
-	}
+	st := ws.attnStep()
 	st.Enc, st.H = enc, h
-	st.Weights = wsVec(ws, n)
-	st.Ctx = wsVec(ws, a.Hidden)
-	st.Concat = wsVec(ws, 2*a.Hidden)
-	st.HTilde = wsVec(ws, a.Hidden)
-	scores := wsVec(ws, n)
+	st.Weights = ws.Vec(n)
+	st.Ctx = ws.Vec(a.Hidden)
+	st.Concat = ws.Vec(2 * a.Hidden)
+	st.HTilde = ws.Vec(a.Hidden)
+	scores := ws.Vec(n)
 	switch a.Kind {
 	case AttentionDot:
 		for s, es := range enc {
 			scores[s] = mat.Dot(h, es)
 		}
 	case AttentionConcat:
-		st.Pair = wsSlices(ws, st.Pair, n)
-		st.TanhPre = wsSlices(ws, st.TanhPre, n)
+		st.Pair = resizeSlices(st.Pair, n)
+		st.TanhPre = resizeSlices(st.TanhPre, n)
 		for s, es := range enc {
-			pair := wsVec(ws, 2*a.Hidden)
+			pair := ws.Vec(2 * a.Hidden)
 			copy(pair[:a.Hidden], h)
 			copy(pair[a.Hidden:], es)
-			pre := wsVec(ws, a.Hidden)
+			pre := ws.Vec(a.Hidden)
 			a.Wa.W.MulVec(pre, pair)
 			mat.Tanh(pre)
 			st.Pair[s] = pair
@@ -134,9 +124,9 @@ func (a *LuongAttention) ForwardWS(ws *Workspace, enc [][]float64, h []float64) 
 			scores[s] = mat.Dot(a.Va.W.Data, pre)
 		}
 	default: // AttentionGeneral
-		st.WaEnc = wsSlices(ws, st.WaEnc, n)
+		st.WaEnc = resizeSlices(st.WaEnc, n)
 		for s, es := range enc {
-			we := wsVec(ws, a.Hidden)
+			we := ws.Vec(a.Hidden)
 			a.Wa.W.MulVec(we, es)
 			st.WaEnc[s] = we
 			scores[s] = mat.Dot(h, we)
@@ -153,22 +143,9 @@ func (a *LuongAttention) ForwardWS(ws *Workspace, enc [][]float64, h []float64) 
 	return st
 }
 
-// wsSlices resizes an AttnStep's cached outer slice to length n with nil
-// elements, allocating only when ws is nil or the capacity is too small.
-func wsSlices(ws *Workspace, prev [][]float64, n int) [][]float64 {
-	if ws == nil {
-		return make([][]float64, n)
-	}
-	return resizeSlices(prev, n)
-}
-
-// Backward backpropagates dL/dh̃. It accumulates parameter gradients, adds
-// dL/dh into dh, and adds dL/dh̄_s into dEnc[s].
-func (a *LuongAttention) Backward(st *AttnStep, dHTilde []float64, dh []float64, dEnc [][]float64) {
-	a.BackwardWS(nil, st, dHTilde, dh, dEnc)
-}
-
-// BackwardWS is Backward with scratch buffers drawn from ws (nil allocates).
+// BackwardWS backpropagates dL/dh̃, drawing scratch buffers from ws. It
+// accumulates parameter gradients, adds dL/dh into dh, and adds dL/dh̄_s
+// into dEnc[s].
 //
 //mdes:noalloc
 func (a *LuongAttention) BackwardWS(ws *Workspace, st *AttnStep, dHTilde []float64, dh []float64, dEnc [][]float64) {
@@ -176,17 +153,17 @@ func (a *LuongAttention) BackwardWS(ws *Workspace, st *AttnStep, dHTilde []float
 	checkLen("attention dh", len(dh), a.Hidden)
 	n := len(st.Enc)
 
-	dPre := wsVec(ws, a.Hidden)
+	dPre := ws.Vec(a.Hidden)
 	for i, v := range dHTilde {
 		dPre[i] = v * (1 - st.HTilde[i]*st.HTilde[i])
 	}
-	dConcat := wsVec(ws, 2*a.Hidden)
+	dConcat := ws.Vec(2 * a.Hidden)
 	a.Wc.Backward(dConcat, st.Concat, dPre)
 	dCtx := dConcat[:a.Hidden]
 	mat.Axpy(1, dConcat[a.Hidden:], dh)
 
 	// Context is Σ w_s·h̄_s.
-	dW := wsVec(ws, n)
+	dW := ws.Vec(n)
 	for s, es := range st.Enc {
 		dW[s] = mat.Dot(dCtx, es)
 		mat.Axpy(st.Weights[s], dCtx, dEnc[s])
@@ -197,7 +174,7 @@ func (a *LuongAttention) BackwardWS(ws *Workspace, st *AttnStep, dHTilde []float
 	for s, w := range st.Weights {
 		mix += w * dW[s]
 	}
-	dScores := wsVec(ws, n)
+	dScores := ws.Vec(n)
 	for s, w := range st.Weights {
 		dScores[s] = w * (dW[s] - mix)
 	}
@@ -215,8 +192,8 @@ func (a *LuongAttention) BackwardWS(ws *Workspace, st *AttnStep, dHTilde []float
 		}
 	case AttentionConcat:
 		// score_s = vᵀ·tanh(Wa·[h; h̄_s]).
-		dPair := wsVec(ws, 2*a.Hidden)
-		dPreBuf := wsVec(ws, a.Hidden)
+		dPair := ws.Vec(2 * a.Hidden)
+		dPreBuf := ws.Vec(a.Hidden)
 		for s := range st.Enc {
 			g := dScores[s]
 			if g == 0 {
@@ -234,7 +211,7 @@ func (a *LuongAttention) BackwardWS(ws *Workspace, st *AttnStep, dHTilde []float
 		}
 	default: // AttentionGeneral
 		// score_s = hᵀ·(Wa·h̄_s).
-		buf := wsVec(ws, a.Hidden)
+		buf := ws.Vec(a.Hidden)
 		for s, es := range st.Enc {
 			g := dScores[s]
 			if g == 0 {

@@ -18,23 +18,25 @@ func attentionGradCheck(t *testing.T, kind AttentionKind) {
 	probe := randVec(rng, 3)
 
 	forward := func() float64 {
-		return mat.Dot(probe, attn.Forward(enc, h).HTilde)
+		return mat.Dot(probe, attn.ForwardWS(NewWorkspace(), enc, h).HTilde)
 	}
 	run := func() float64 {
 		p.ZeroGrad()
-		st := attn.Forward(enc, h)
+		ws := NewWorkspace()
+		st := attn.ForwardWS(ws, enc, h)
 		dh := make([]float64, 3)
 		dEnc := [][]float64{make([]float64, 3), make([]float64, 3), make([]float64, 3)}
-		attn.Backward(st, probe, dh, dEnc)
+		attn.BackwardWS(ws, st, probe, dh, dEnc)
 		return mat.Dot(probe, st.HTilde)
 	}
 	gradCheck(t, &p, run, forward, 1e-4)
 
 	// Input gradients against finite differences.
-	st := attn.Forward(enc, h)
+	ws := NewWorkspace()
+	st := attn.ForwardWS(ws, enc, h)
 	dh := make([]float64, 3)
 	dEnc := [][]float64{make([]float64, 3), make([]float64, 3), make([]float64, 3)}
-	attn.Backward(st, probe, dh, dEnc)
+	attn.BackwardWS(ws, st, probe, dh, dEnc)
 	const eps = 1e-6
 	for i := range h {
 		orig := h[i]
@@ -112,7 +114,7 @@ func TestAttentionVariantsWeightsSumToOne(t *testing.T) {
 		var p Params
 		attn := NewLuongAttentionKind(&p, "a", 4, kind, rng)
 		enc := [][]float64{randVec(rng, 4), randVec(rng, 4)}
-		st := attn.Forward(enc, randVec(rng, 4))
+		st := attn.ForwardWS(NewWorkspace(), enc, randVec(rng, 4))
 		var sum float64
 		for _, w := range st.Weights {
 			sum += w

@@ -181,11 +181,12 @@ func TestLSTMCellGradCheck(t *testing.T) {
 	probe := randVec(rng, 4) // fixed projection defining a scalar loss
 
 	forward := func() float64 {
+		ws := NewWorkspace()
 		h := make([]float64, 4)
 		c := make([]float64, 4)
 		var loss float64
 		for _, x := range xs {
-			st := cell.Step(x, h, c)
+			st := cell.StepWS(ws, x, h, c)
 			h, c = st.H, st.C
 			loss += mat.Dot(probe, st.H)
 		}
@@ -193,12 +194,13 @@ func TestLSTMCellGradCheck(t *testing.T) {
 	}
 	run := func() float64 {
 		p.ZeroGrad()
+		ws := NewWorkspace()
 		h := make([]float64, 4)
 		c := make([]float64, 4)
 		steps := make([]*LSTMStep, len(xs))
 		var loss float64
 		for i, x := range xs {
-			st := cell.Step(x, h, c)
+			st := cell.StepWS(ws, x, h, c)
 			steps[i] = st
 			h, c = st.H, st.C
 			loss += mat.Dot(probe, st.H)
@@ -210,7 +212,7 @@ func TestLSTMCellGradCheck(t *testing.T) {
 			dx := make([]float64, 3)
 			dhPrev := make([]float64, 4)
 			dcPrev := make([]float64, 4)
-			cell.StepBackward(steps[i], dh, dc, dx, dhPrev, dcPrev)
+			cell.StepBackwardWS(ws, steps[i], dh, dc, dx, dhPrev, dcPrev)
 			dh, dc = dhPrev, dcPrev
 		}
 		return loss
@@ -226,29 +228,29 @@ func TestStackedLSTMGradCheck(t *testing.T) {
 	probe := randVec(rng, 4)
 
 	forward := func() float64 {
-		st := stack.ZeroState()
+		ws := NewWorkspace()
+		st := stack.ZeroStateWS(ws)
 		var loss float64
 		for _, x := range xs {
-			var cache *StackStep
-			st, cache = stack.Step(st, x, nil)
-			_ = cache
+			st, _ = stack.StepWS(ws, st, x, nil)
 			loss += mat.Dot(probe, st.H[stack.Layers()-1])
 		}
 		return loss
 	}
 	run := func() float64 {
 		p.ZeroGrad()
-		st := stack.ZeroState()
+		ws := NewWorkspace()
+		st := stack.ZeroStateWS(ws)
 		caches := make([]*StackStep, len(xs))
 		var loss float64
 		for i, x := range xs {
-			st, caches[i] = stack.Step(st, x, nil)
+			st, caches[i] = stack.StepWS(ws, st, x, nil)
 			loss += mat.Dot(probe, st.H[stack.Layers()-1])
 		}
-		carry := stack.ZeroGradState()
+		carry := stack.ZeroGradStateWS(ws)
 		for i := len(xs) - 1; i >= 0; i-- {
 			dx := make([]float64, 3)
-			stack.StepBackward(caches[i], probe, carry, dx)
+			stack.StepBackwardWS(ws, caches[i], probe, carry, dx)
 		}
 		return loss
 	}
@@ -264,15 +266,16 @@ func TestAttentionGradCheck(t *testing.T) {
 	probe := randVec(rng, 3)
 
 	forward := func() float64 {
-		st := attn.Forward(enc, h)
+		st := attn.ForwardWS(NewWorkspace(), enc, h)
 		return mat.Dot(probe, st.HTilde)
 	}
 	run := func() float64 {
 		p.ZeroGrad()
-		st := attn.Forward(enc, h)
+		ws := NewWorkspace()
+		st := attn.ForwardWS(ws, enc, h)
 		dh := make([]float64, 3)
 		dEnc := [][]float64{make([]float64, 3), make([]float64, 3), make([]float64, 3)}
-		attn.Backward(st, probe, dh, dEnc)
+		attn.BackwardWS(ws, st, probe, dh, dEnc)
 		return mat.Dot(probe, st.HTilde)
 	}
 	gradCheck(t, &p, run, forward, 1e-4)
@@ -287,13 +290,14 @@ func TestAttentionInputGradients(t *testing.T) {
 	h := randVec(rng, 3)
 	probe := randVec(rng, 3)
 
-	st := attn.Forward(enc, h)
+	ws := NewWorkspace()
+	st := attn.ForwardWS(ws, enc, h)
 	dh := make([]float64, 3)
 	dEnc := [][]float64{make([]float64, 3), make([]float64, 3)}
-	attn.Backward(st, probe, dh, dEnc)
+	attn.BackwardWS(ws, st, probe, dh, dEnc)
 
 	lossAt := func() float64 {
-		return mat.Dot(probe, attn.Forward(enc, h).HTilde)
+		return mat.Dot(probe, attn.ForwardWS(NewWorkspace(), enc, h).HTilde)
 	}
 	const eps = 1e-6
 	for i := range h {
@@ -329,7 +333,7 @@ func TestAttentionWeightsSumToOne(t *testing.T) {
 	var p Params
 	attn := NewLuongAttention(&p, "attn", 4, rng)
 	enc := [][]float64{randVec(rng, 4), randVec(rng, 4), randVec(rng, 4), randVec(rng, 4)}
-	st := attn.Forward(enc, randVec(rng, 4))
+	st := attn.ForwardWS(NewWorkspace(), enc, randVec(rng, 4))
 	var sum float64
 	for _, w := range st.Weights {
 		if w < 0 {
@@ -346,12 +350,13 @@ func TestDropoutMaskApplied(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	var p Params
 	stack := NewStackedLSTM(&p, "s", 2, 3, 4, 0.5, rng)
-	st := stack.ZeroState()
-	_, cacheTrain := stack.Step(st, randVec(rng, 3), rng)
+	ws := NewWorkspace()
+	st := stack.ZeroStateWS(ws)
+	_, cacheTrain := stack.StepWS(ws, st, randVec(rng, 3), rng)
 	if cacheTrain.dropMasks[1] == nil {
 		t.Fatal("training step with dropout must record a mask for layer 1")
 	}
-	_, cacheInfer := stack.Step(st, randVec(rng, 3), nil)
+	_, cacheInfer := stack.StepWS(ws, st, randVec(rng, 3), nil)
 	if cacheInfer.dropMasks[1] != nil {
 		t.Fatal("inference step must not apply dropout")
 	}
@@ -360,12 +365,13 @@ func TestDropoutMaskApplied(t *testing.T) {
 func TestStackStateClone(t *testing.T) {
 	var p Params
 	stack := NewStackedLSTM(&p, "s", 2, 2, 3, 0, rand.New(rand.NewSource(1)))
-	st := stack.ZeroState()
+	ws := NewWorkspace()
+	st := stack.ZeroStateWS(ws)
 	st.H[0][0] = 5
-	c := st.Clone()
+	c := st.CloneWS(ws)
 	c.H[0][0] = 9
 	if st.H[0][0] != 5 {
-		t.Fatal("Clone must be deep")
+		t.Fatal("CloneWS must be deep")
 	}
 }
 

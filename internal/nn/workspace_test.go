@@ -145,17 +145,22 @@ func TestStackedStepWSAllocationFree(t *testing.T) {
 	}
 }
 
-// TestWorkspaceAndHeapStepsMatch checks the nil-workspace fallback and the
-// arena path compute identical activations.
-func TestWorkspaceAndHeapStepsMatch(t *testing.T) {
+// TestWorkspaceReuseMatchesFreshStep checks that recycled arena memory
+// carries nothing over: a step on a workspace dirtied by an earlier,
+// differently shaped step and Reset computes the same activations as a step
+// on a fresh one.
+func TestWorkspaceReuseMatchesFreshStep(t *testing.T) {
 	cell, x, h, c := newBenchCell(t, 12, 16)
-	heap := cell.Step(x, h, c)
+	fresh := cell.StepWS(NewWorkspace(), x, h, c)
 	ws := NewWorkspace()
-	arena := cell.StepWS(ws, x, h, c)
-	for j := range heap.H {
-		if heap.H[j] != arena.H[j] || heap.C[j] != arena.C[j] {
-			t.Fatalf("heap and workspace steps diverge at %d: H %v vs %v, C %v vs %v",
-				j, heap.H[j], arena.H[j], heap.C[j], arena.C[j])
+	big, bx, bh, bc := newBenchCell(t, 20, 24)
+	big.StepBackwardWS(ws, big.StepWS(ws, bx, bh, bc), bh, bc, bx, make([]float64, 24), make([]float64, 24))
+	ws.Reset()
+	reused := cell.StepWS(ws, x, h, c)
+	for j := range fresh.H {
+		if fresh.H[j] != reused.H[j] || fresh.C[j] != reused.C[j] {
+			t.Fatalf("fresh and reused workspace steps diverge at %d: H %v vs %v, C %v vs %v",
+				j, fresh.H[j], reused.H[j], fresh.C[j], reused.C[j])
 		}
 	}
 }

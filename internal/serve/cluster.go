@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"mdes/internal/cluster"
+	"mdes/internal/record"
 )
 
 // Cluster mode turns N independent mdes-serve replicas into one sharded
@@ -186,7 +187,11 @@ func (s *Server) reseedReplication() {
 	}
 	for _, sess := range s.reg.all() {
 		sess.mu.Lock()
-		s.replicateLocked(sess.tenant, snapshotOfLocked(sess))
+		if owner, target := s.replicaOf(sess.tenant); target != "" {
+			if frame, err := sess.encodeLocked(owner); err == nil {
+				s.offer(target, sess.tenant, sess.stream.Ticks(), frame)
+			}
+		}
 		sess.mu.Unlock()
 	}
 }
@@ -200,7 +205,9 @@ func (s *Server) tenantsHeldFor(peer string) []string {
 		seen[t] = struct{}{}
 	}
 	if s.opts.StandbyDir != "" {
-		names, err := standbyTenantsFor(s.fs, s.opts.StandbyDir, peer)
+		names, err := s.standby.tenants(func(name string) (string, bool) {
+			return record.StandbyTenant(peer, name)
+		})
 		if err != nil {
 			s.met.replStoreErrors.Add(1)
 		}
@@ -407,7 +414,7 @@ func (s *Server) localTenants() []string {
 		seen[sess.tenant] = struct{}{}
 	}
 	if s.opts.SnapshotDir != "" {
-		names, err := listSnapshots(s.fs, s.opts.SnapshotDir)
+		names, err := s.snaps.tenants(record.SnapshotTenant)
 		if err != nil {
 			s.met.snapshotLoadErrors.Add(1)
 		}
@@ -467,82 +474,79 @@ func (s *Server) shipTenants(peer string, tenants []string) {
 	}
 }
 
-// shipTenant freezes one tenant's state and ships it to peer. The freeze
-// takes the session mutex, so it serialises after any in-flight tick
-// request — the snapshot is request-boundary aligned by construction. On a
-// successful ack the local snapshot is deleted (the receiver holds the only
-// authoritative copy now); on failure the frozen state is persisted back so
-// nothing is lost. All network IO happens after every lock is released.
+// shipTenant freezes one tenant's state and ships it to peer as a record
+// naming peer its owner. The freeze takes the session mutex, so it
+// serialises after any in-flight tick request — the record is
+// request-boundary aligned by construction. On a successful ack the local
+// snapshot is deleted (the receiver holds the only authoritative copy now);
+// on failure the frozen record is persisted back so nothing is lost. All
+// network IO happens after every lock is released.
 func (s *Server) shipTenant(ctx context.Context, peer, tenant string) error {
 	cn := s.cluster
-	var snap sessionSnapshot
-	have, frozen, wasAdopted := false, false, false
+	var body []byte
+	ticks := 0
+	frozen, wasAdopted := false, false
 	if sess := s.reg.get(tenant); sess != nil {
 		sess.mu.Lock()
 		if !sess.gone {
+			frame, err := sess.encodeLocked(peer)
+			if err != nil {
+				sess.mu.Unlock()
+				s.met.clusterHandoffErrors.Add(1)
+				return err
+			}
 			sess.gone = true
-			snap = snapshotOfLocked(sess)
-			have, frozen = true, true
-			wasAdopted = sess.adopted
+			body, ticks = frame, sess.stream.Ticks()
+			frozen, wasAdopted = true, sess.adopted
 			s.reg.remove(sess)
 		}
 		sess.mu.Unlock()
 	}
-	if !have && s.opts.SnapshotDir != "" {
-		var ok bool
-		var err error
-		snap, ok, err = s.loadSnapshotNoted(tenant)
+	if body == nil && s.opts.SnapshotDir != "" {
+		rec, ok, err := s.loadSnapshotNoted(tenant)
 		if err != nil {
 			s.met.snapshotLoadErrors.Add(1)
 			return err
 		}
-		have = ok
+		if ok {
+			rec.Owner = peer
+			if body, err = record.Encode(rec); err != nil {
+				s.met.clusterHandoffErrors.Add(1)
+				return err
+			}
+			ticks = rec.Stream.Ticks
+		}
 	}
-	// Last resort: a standby copy held on the destination's behalf. This is
-	// what restores a wiped owner, and it also covers the second-order
-	// failure where the adopting standby itself died and only the copy it
-	// forwarded elsewhere survives. The receiver's more-ticks-wins rule
-	// makes shipping a redundant copy (owner's disk was fine all along) a
-	// harmless ack — but only the tenant's LIVE successor may ship one: a
-	// third replica's forwarded copy is typically staler than the
-	// successor's, and its install would clear the owner's pend before the
-	// fresh state lands, opening exactly the tick-fork window the pend
-	// exists to close. If the successor is down, the ring's next live pick
-	// (which is what this check resolves to) inherits the duty.
+	// Last resort: a standby copy held on the destination's behalf, shipped
+	// verbatim — it already names peer its owner. This is what restores a
+	// wiped owner, and it also covers the second-order failure where the
+	// adopting standby itself died and only the copy it forwarded elsewhere
+	// survives. The receiver's more-ticks-wins rule makes shipping a
+	// redundant copy (owner's disk was fine all along) a harmless ack — but
+	// only the tenant's LIVE successor may ship one: a third replica's
+	// forwarded copy is typically staler than the successor's, and its
+	// install would clear the owner's pend before the fresh state lands,
+	// opening exactly the tick-fork window the pend exists to close. If the
+	// successor is down, the ring's next live pick (which is what this check
+	// resolves to) inherits the duty.
 	fromStandby := false
-	if !have && s.opts.StandbyDir != "" && s.standbyShipper(tenant, peer) == cn.self {
-		h, ok, err := loadStandby(s.fs, s.opts.StandbyDir, peer, tenant)
+	if body == nil && s.opts.StandbyDir != "" && s.standbyShipper(tenant, peer) == cn.self {
+		data, h, ok, err := standbyCopy(s.standby, peer, tenant)
 		if err != nil {
 			s.met.replStoreErrors.Add(1)
 			return err
 		}
 		if ok {
-			if err := json.Unmarshal(h.Payload, &snap); err != nil {
-				s.met.replStoreErrors.Add(1)
-				return fmt.Errorf("serve: decode standby copy for %q: %w", tenant, err)
-			}
-			have, fromStandby = true, true
+			body, ticks, fromStandby = data, h.Stream.Ticks, true
 		}
 	}
-	if !have {
+	if body == nil {
 		return nil // nothing to ship (e.g. deleted concurrently)
 	}
-	payload, err := json.Marshal(snap)
-	if err != nil {
-		s.met.clusterHandoffErrors.Add(1)
-		return fmt.Errorf("serve: encode handoff for %q: %w", tenant, err)
-	}
-	h := cluster.Handoff{
-		Tenant:  tenant,
-		Model:   snap.Model,
-		Ticks:   snap.Stream.Ticks,
-		From:    cn.self,
-		Payload: payload,
-	}
-	if err := cn.sender.Send(ctx, peer, h); err != nil {
+	if err := cn.sender.Send(ctx, peer, cluster.Handoff{Tenant: tenant, Ticks: ticks, Body: body}); err != nil {
 		s.met.clusterHandoffErrors.Add(1)
 		if frozen && s.opts.SnapshotDir != "" {
-			if err2 := saveSnapshot(s.fs, s.opts.SnapshotDir, tenant, snap); err2 != nil {
+			if err2 := s.snaps.write(record.SnapshotFile(tenant), body); err2 != nil {
 				s.met.snapshotErrors.Add(1)
 			}
 		}
@@ -553,43 +557,59 @@ func (s *Server) shipTenant(ctx context.Context, peer, tenant string) error {
 		s.met.replShipsHome.Add(1)
 	}
 	if s.opts.SnapshotDir != "" && !fromStandby {
-		_ = deleteSnapshot(s.fs, s.opts.SnapshotDir, tenant)
+		_ = s.snaps.remove(record.SnapshotFile(tenant))
 	}
 	// What happens to the standby copy after an acked ship depends on who we
 	// are. If this replica is the tenant's live standby successor, the state
-	// just shipped IS the owner's current state — keep it (or write it) as
-	// the warm copy, so the tenant stays adoptable in the gap before the
-	// owner's next persist re-seeds replication. Deleting here opens a
-	// no-copy window, and a partition landing inside it strands the tenant:
-	// the owner is unreachable and the successor has nothing to promote.
-	// Any other replica's copy really is superseded — drop it so a later
-	// flap cannot re-ship stale state.
+	// just shipped IS the owner's current state — keep it (or store the
+	// shipped record, which already names the owner) as the warm copy, so
+	// the tenant stays adoptable in the gap before the owner's next persist
+	// re-seeds replication. Deleting here opens a no-copy window, and a
+	// partition landing inside it strands the tenant: the owner is
+	// unreachable and the successor has nothing to promote. Any other
+	// replica's copy really is superseded — drop it so a later flap cannot
+	// re-ship stale state.
 	if s.opts.StandbyDir != "" {
 		if s.standbyShipper(tenant, peer) == cn.self {
 			if !fromStandby {
-				if old, ok, err := loadStandby(s.fs, s.opts.StandbyDir, peer, tenant); err != nil {
+				if _, old, ok, err := standbyCopy(s.standby, peer, tenant); err != nil {
 					s.met.replStoreErrors.Add(1)
-				} else if !ok || old.Ticks < h.Ticks {
-					hc := h
-					hc.From = peer // standby frames carry the OWNER, not the shipper
-					if frame, err := cluster.EncodeHandoff(hc); err == nil {
-						if err := saveStandbyFrame(s.fs, s.opts.StandbyDir, peer, tenant, frame); err != nil {
-							s.met.replStoreErrors.Add(1)
-						}
+				} else if !ok || old.Stream.Ticks < ticks {
+					if err := s.standby.write(record.StandbyFile(peer, tenant), body); err != nil {
+						s.met.replStoreErrors.Add(1)
 					}
 				}
 			}
-		} else if err := deleteStandby(s.fs, s.opts.StandbyDir, peer, tenant); err != nil {
+		} else if err := s.standby.remove(record.StandbyFile(peer, tenant)); err != nil {
 			s.met.replStoreErrors.Add(1)
 		}
 	}
 	return nil
 }
 
+// readClusterBody reads one inbound handoff or replication body. A body over
+// maxHandoffBody is answered 413, which senders treat as terminal: cutting
+// it short would fail its CRC and draw a retryable 503 for a request that
+// can never succeed.
+func (s *Server) readClusterBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxHandoffBody))
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		http.Error(w, fmt.Sprintf("cluster body over %d bytes", maxHandoffBody), http.StatusRequestEntityTooLarge)
+		return nil, false
+	case err != nil:
+		s.retryAfterHeader(w)
+		http.Error(w, fmt.Sprintf("read cluster body: %v", err), http.StatusServiceUnavailable)
+		return nil, false
+	}
+	return body, true
+}
+
 // handleHandoff is POST /v1/cluster/handoff: decode, validate, restore, and
-// install one migrated tenant. The expensive work (CRC check, JSON decode,
-// stream restore) happens before any lock; installation compares tick
-// counts so a duplicate or stale delivery acks 200 without touching state.
+// install one migrated tenant. The expensive work (CRC check, decode, stream
+// restore) happens before any lock; installation compares tick counts so a
+// duplicate or stale delivery acks 200 without touching state.
 func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	cn := s.cluster
 	if s.draining.Load() {
@@ -599,20 +619,19 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "server is draining", http.StatusServiceUnavailable)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxHandoffBody))
-	if err != nil {
-		http.Error(w, fmt.Sprintf("read handoff: %v", err), http.StatusBadRequest)
+	body, ok := s.readClusterBody(w, r)
+	if !ok {
 		return
 	}
-	h, err := cluster.DecodeHandoff(body)
-	if errors.Is(err, cluster.ErrBadFrame) {
-		// A short or CRC-broken frame is transmission damage — the sender's
-		// copy is intact, so answer retryable instead of terminal. (A
-		// terminal 400 here would permanently strand a tenant whose handoff
-		// happened to cross a flaky link once.)
+	rec, trailing, err := record.Decode(body)
+	if errors.Is(err, record.ErrTorn) || (err == nil && trailing) {
+		// A short, CRC-broken, or overlong frame is transmission damage —
+		// the sender's copy is intact, so answer retryable instead of
+		// terminal. (A terminal 400 here would permanently strand a tenant
+		// whose handoff happened to cross a flaky link once.)
 		s.met.clusterHandoffErrors.Add(1)
 		s.retryAfterHeader(w)
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+		http.Error(w, record.ErrTorn.Error(), http.StatusServiceUnavailable)
 		return
 	}
 	if err != nil {
@@ -620,80 +639,51 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	var snap sessionSnapshot
-	if err := json.Unmarshal(h.Payload, &snap); err != nil {
+	if rec.Owner != cn.self {
+		// The sender addressed the record to another owner — or speaks the
+		// pre-record envelope, which names none: state cannot cross.
 		s.met.clusterHandoffErrors.Add(1)
-		http.Error(w, fmt.Sprintf("decode handoff payload: %v", err), http.StatusBadRequest)
+		http.Error(w, fmt.Sprintf("handoff of %q addressed to owner %q, not %q", rec.Tenant, rec.Owner, cn.self), http.StatusBadRequest)
 		return
 	}
-	if snap.Tenant != h.Tenant {
-		s.met.clusterHandoffErrors.Add(1)
-		http.Error(w, "handoff tenant mismatch", http.StatusBadRequest)
-		return
-	}
-	// The envelope's Ticks/Model duplicate the payload so the idempotency
-	// decision can be made without trusting the (CRC-covered but separately
-	// encoded) snapshot. They must agree: a disagreement means the sender
-	// framed one session's metadata around another session's payload, and
-	// installing either interpretation could lose ticks silently.
-	if h.Ticks != snap.Stream.Ticks || h.Model != snap.Model {
-		s.met.clusterHandoffErrors.Add(1)
-		http.Error(w, "handoff envelope/payload mismatch", http.StatusBadRequest)
-		return
-	}
-	model, ok := s.opts.Models[snap.Model]
-	if !ok {
-		s.met.clusterHandoffErrors.Add(1)
-		http.Error(w, fmt.Sprintf("unknown model %q", snap.Model), http.StatusBadRequest)
-		return
-	}
-	stream, err := model.RestoreStream(snap.Stream)
+	sess, err := s.restore(rec)
 	if err != nil {
 		s.met.clusterHandoffErrors.Add(1)
-		http.Error(w, fmt.Sprintf("restore stream: %v", err), http.StatusBadRequest)
+		http.Error(w, fmt.Sprintf("restore handoff: %v", err), http.StatusBadRequest)
 		return
 	}
-	stream.SetScorer(s.scorer)
+	sess.dirty = true
 
 	s.reg.mu.Lock()
-	if existing := s.reg.sessions[snap.Tenant]; existing != nil {
+	if existing := s.reg.sessions[rec.Tenant]; existing != nil {
 		if !existing.mu.TryLock() {
 			s.reg.mu.Unlock()
 			s.retryAfterHeader(w)
-			http.Error(w, fmt.Sprintf("tenant %q busy", snap.Tenant), http.StatusServiceUnavailable)
+			http.Error(w, fmt.Sprintf("tenant %q busy", rec.Tenant), http.StatusServiceUnavailable)
 			return
 		}
-		if existing.stream.Ticks() >= snap.Stream.Ticks {
+		if existing.stream.Ticks() >= rec.Stream.Ticks {
 			// Duplicate or stale: local state already covers it.
 			existing.mu.Unlock()
 			s.reg.mu.Unlock()
-			cn.clearPending(snap.Tenant)
+			cn.clearPending(rec.Tenant)
 			w.WriteHeader(http.StatusOK)
 			return
 		}
 		existing.gone = true
 		existing.mu.Unlock()
-		delete(s.reg.sessions, snap.Tenant)
+		delete(s.reg.sessions, rec.Tenant)
 	} else if s.opts.SnapshotDir != "" {
-		//mdes:allow(lockcall) install must be atomic with the registry check; one snapshot read on the migration path only, never per-tick
-		old, ok, _, err := loadSnapshot(s.fs, s.opts.SnapshotDir, snap.Tenant)
-		if err == nil && ok && old.Stream.Ticks >= snap.Stream.Ticks {
+		//mdes:allow(lockcall) install must be atomic with the registry check; one snapshot header read on the migration path only, never per-tick
+		data, err := s.snaps.read(record.SnapshotFile(rec.Tenant))
+		if old, _, err2 := record.DecodeHeader(data); err == nil && err2 == nil && old.Stream.Ticks >= rec.Stream.Ticks {
 			s.reg.mu.Unlock()
-			cn.clearPending(snap.Tenant)
+			cn.clearPending(rec.Tenant)
 			w.WriteHeader(http.StatusOK)
 			return
 		}
 	}
-	sess := &session{
-		tenant:    snap.Tenant,
-		model:     snap.Model,
-		stream:    stream,
-		lastScore: snap.LastScore,
-		degraded:  snap.Degraded,
-		dirty:     true,
-		lastUsed:  time.Now(),
-	}
-	s.reg.sessions[snap.Tenant] = sess
+	s.reg.sessions[rec.Tenant] = sess
 	s.reg.mu.Unlock()
 
 	// Persist before acking: the ack authorises the sender to delete its
@@ -703,10 +693,10 @@ func (s *Server) handleHandoff(w http.ResponseWriter, r *http.Request) {
 	if s.opts.SnapshotDir != "" {
 		sess.mu.Lock()
 		//mdes:allow(lockcall) persist-before-ack on the migration path only, never per-tick; the session lock pins the exact state being acknowledged
-		s.persistLocked(sess)
+		_ = s.persistLocked(sess)
 		sess.mu.Unlock()
 	}
-	cn.clearPending(snap.Tenant)
+	cn.clearPending(rec.Tenant)
 	s.met.clusterHandoffsReceived.Add(1)
 	w.WriteHeader(http.StatusOK)
 }

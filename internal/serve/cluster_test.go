@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -16,6 +15,7 @@ import (
 
 	"mdes"
 	"mdes/internal/cluster"
+	"mdes/internal/record"
 	"mdes/internal/seqio"
 )
 
@@ -56,6 +56,11 @@ type testCluster struct {
 func newTestCluster(t *testing.T, n int, mutate func(i int, o *Options)) *testCluster {
 	t.Helper()
 	tc := &testCluster{t: t}
+	// Claim the test's temp root before any listener: cleanups run last
+	// registered first, so the directories are removed only after every
+	// httptest server has closed, which waits out in-flight handlers (a
+	// late replication or handoff write would otherwise race the removal).
+	t.TempDir()
 	for i := 0; i < n; i++ {
 		sh := newSwapHandler()
 		hs := httptest.NewServer(sh)
@@ -295,13 +300,14 @@ func TestClusterHandoffIdempotent(t *testing.T) {
 	fresh := snapshotOnDisk(t, tc, 0, tenant) // 40 ticks
 
 	sender := &cluster.Sender{}
-	ship := func(snap sessionSnapshot) {
+	ship := func(snap record.Session) {
 		t.Helper()
-		payload, err := json.Marshal(snap)
+		snap.Owner = tc.urls[1]
+		body, err := record.Encode(snap)
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := cluster.Handoff{Tenant: tenant, Model: snap.Model, Ticks: snap.Stream.Ticks, From: tc.urls[0], Payload: payload}
+		h := cluster.Handoff{Tenant: tenant, Ticks: snap.Stream.Ticks, Body: body}
 		if err := sender.Send(context.Background(), tc.urls[1], h); err != nil {
 			t.Fatal(err)
 		}
@@ -490,9 +496,9 @@ func waitState(t *testing.T, mem *cluster.Membership, peer string, want cluster.
 	}
 }
 
-func snapshotOnDisk(t *testing.T, tc *testCluster, i int, tenant string) sessionSnapshot {
+func snapshotOnDisk(t *testing.T, tc *testCluster, i int, tenant string) record.Session {
 	t.Helper()
-	snap, ok, _, err := loadSnapshot(tc.srvs[i].fs, tc.dirs[i], tenant)
+	snap, ok, _, err := loadSnapshot(tc.srvs[i].snaps, tenant)
 	if err != nil || !ok {
 		t.Fatalf("snapshot for %q on replica %d: ok=%v err=%v", tenant, i, ok, err)
 	}

@@ -15,6 +15,7 @@ import (
 	"mdes"
 	"mdes/internal/cluster"
 	"mdes/internal/faultfs"
+	"mdes/internal/record"
 )
 
 // Options configures a Server.
@@ -112,6 +113,9 @@ type Server struct {
 	reg  *registry
 	met  metrics
 	fs   faultfs.FS
+	// snaps and standby are the snapshot and warm-standby record stores
+	// (Options.SnapshotDir and Options.StandbyDir).
+	snaps, standby store
 
 	// scorer is installed on every session stream. With a ScoreDeadline it
 	// bounds each batch; tests may swap it before the first session exists.
@@ -168,6 +172,8 @@ func New(opts Options) (*Server, error) {
 		mux:         http.NewServeMux(),
 		reg:         newRegistry(),
 		fs:          opts.FS,
+		snaps:       store{fs: opts.FS, dir: opts.SnapshotDir},
+		standby:     store{fs: opts.FS, dir: opts.StandbyDir},
 		slots:       make(chan struct{}, opts.MaxInflight),
 		janitorStop: make(chan struct{}),
 		janitorDone: make(chan struct{}),
@@ -263,23 +269,25 @@ func (s *Server) evict(v *session) {
 }
 
 // persistLocked writes the session's snapshot if durability is on and ticks
-// arrived since the last write. Caller holds v.mu.
-func (s *Server) persistLocked(v *session) {
+// arrived since the last write, then offers the same bytes to the tenant's
+// warm standby: the record is encoded once per persist. Caller holds v.mu.
+func (s *Server) persistLocked(v *session) error {
 	if s.opts.SnapshotDir == "" || !v.dirty {
-		return
+		return nil
 	}
-	snap := snapshotOfLocked(v)
-	if err := saveSnapshot(s.fs, s.opts.SnapshotDir, v.tenant, snap); err != nil {
+	owner, target := s.replicaOf(v.tenant)
+	frame, err := v.encodeLocked(owner)
+	if err == nil {
+		err = s.snaps.write(record.SnapshotFile(v.tenant), frame)
+	}
+	if err != nil {
 		s.met.snapshotErrors.Add(1)
-		return
+		return err
 	}
 	v.dirty = false
 	s.met.snapshotWrites.Add(1)
-	// Offer the fresh snapshot to the tenant's warm standby. Offer is a
-	// bounded map update — no IO, no blocking — so replication stays off the
-	// tick path even while holding v.mu; the ship happens asynchronously on
-	// the queue's drainer goroutines.
-	s.replicateLocked(v.tenant, snap)
+	s.offer(target, v.tenant, v.stream.Ticks(), frame)
+	return nil
 }
 
 // acquire returns the tenant's session with its mutex held, creating or
@@ -326,56 +334,44 @@ func (s *Server) createSession(tenant, wantModel string) (*session, int, error) 
 
 	// Snapshot lookup happens under the registry lock; it is one small file
 	// read on the session-creation path only, never on the tick hot path.
-	modelName := wantModel
-	var stream *mdes.Stream
-	var restoredSnap sessionSnapshot
-	restored := false
+	var sess *session
 	if s.opts.SnapshotDir != "" {
 		//mdes:allow(lockcall) creation must be atomic: the registry lock is what stops two requests racing to restore the same tenant; this path never runs per-tick
-		snap, ok, err := s.loadSnapshotNoted(tenant)
+		rec, ok, err := s.loadSnapshotNoted(tenant)
 		if err != nil {
 			s.reg.mu.Unlock()
 			s.met.snapshotLoadErrors.Add(1)
 			return nil, http.StatusInternalServerError, err
 		}
 		if ok {
-			if modelName != "" && modelName != snap.Model {
+			if wantModel != "" && wantModel != rec.Model {
 				s.reg.mu.Unlock()
 				return nil, http.StatusConflict,
-					fmt.Errorf("tenant %q has a snapshot for model %q, not %q", tenant, snap.Model, modelName)
+					fmt.Errorf("tenant %q has a snapshot for model %q, not %q", tenant, rec.Model, wantModel)
 			}
-			model, found := s.opts.Models[snap.Model]
-			if !found {
+			if sess, err = s.restore(rec); err != nil {
 				s.reg.mu.Unlock()
-				return nil, http.StatusNotFound,
-					fmt.Errorf("tenant %q snapshot references unknown model %q", tenant, snap.Model)
-			}
-			stream, err = model.RestoreStream(snap.Stream)
-			if err != nil {
-				s.reg.mu.Unlock()
+				if errors.Is(err, errUnknownModel) {
+					return nil, http.StatusNotFound, fmt.Errorf("tenant %q snapshot: %w", tenant, err)
+				}
 				return nil, http.StatusInternalServerError, err
 			}
-			modelName = snap.Model
-			restoredSnap = snap
-			restored = true
 		}
 	}
-	if stream == nil {
+	restored := sess != nil
+	if !restored {
+		modelName := wantModel
 		if modelName == "" {
 			modelName = s.opts.DefaultModel
 		}
 		model, found := s.opts.Models[modelName]
 		if !found {
 			s.reg.mu.Unlock()
-			return nil, http.StatusNotFound, fmt.Errorf("unknown model %q", modelName)
+			return nil, http.StatusNotFound, fmt.Errorf("%w %q", errUnknownModel, modelName)
 		}
-		stream = model.NewStream()
-	}
-	stream.SetScorer(s.scorer)
-	sess := &session{tenant: tenant, model: modelName, stream: stream, lastUsed: time.Now()}
-	if restored {
-		sess.lastScore = restoredSnap.LastScore
-		sess.degraded = restoredSnap.Degraded
+		stream := model.NewStream()
+		stream.SetScorer(s.scorer)
+		sess = &session{tenant: tenant, model: modelName, stream: stream, lastUsed: time.Now()}
 	}
 	s.reg.sessions[tenant] = sess
 
@@ -394,6 +390,33 @@ func (s *Server) createSession(tenant, wantModel string) (*session, int, error) 
 		s.met.sessionsStarted.Add(1)
 	}
 	return sess, 0, nil
+}
+
+// errUnknownModel reports a model name missing from Options.Models.
+var errUnknownModel = errors.New("unknown model")
+
+// restore turns a decoded record into a session: the one path from durable
+// or transferred state to a live stream, shared by snapshot restore,
+// handoff install, and standby promotion. The session is not registered;
+// callers set dirty/adopted as their path requires.
+func (s *Server) restore(rec record.Session) (*session, error) {
+	model, ok := s.opts.Models[rec.Model]
+	if !ok {
+		return nil, fmt.Errorf("%w %q", errUnknownModel, rec.Model)
+	}
+	stream, err := model.RestoreStream(rec.Stream)
+	if err != nil {
+		return nil, err
+	}
+	stream.SetScorer(s.scorer)
+	return &session{
+		tenant:    rec.Tenant,
+		model:     rec.Model,
+		stream:    stream,
+		lastScore: rec.LastScore,
+		degraded:  rec.Degraded,
+		lastUsed:  time.Now(),
+	}, nil
 }
 
 // release persists a dirty session and drops its mutex.
@@ -577,7 +600,7 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.opts.SnapshotDir != "" {
-		snap, ok, err := s.loadSnapshotNoted(tenant)
+		rec, ok, err := s.loadSnapshotNoted(tenant)
 		if err != nil {
 			s.met.snapshotLoadErrors.Add(1)
 			http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -586,12 +609,12 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 		if ok {
 			info := SessionInfo{
 				Tenant:   tenant,
-				Model:    snap.Model,
-				Ticks:    snap.Stream.Ticks,
-				Emitted:  snap.Stream.Emitted,
-				Degraded: snap.Degraded,
+				Model:    rec.Model,
+				Ticks:    rec.Stream.Ticks,
+				Emitted:  rec.Stream.Emitted,
+				Degraded: rec.Degraded,
 			}
-			if model, found := s.opts.Models[snap.Model]; found {
+			if model, found := s.opts.Models[rec.Model]; found {
 				lc := model.Config().Language
 				info.SentenceSpan = lc.WordLen + (lc.SentenceLen-1)*lc.WordStride
 			}
@@ -616,7 +639,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		s.reg.remove(sess)
 	}
 	if s.opts.SnapshotDir != "" {
-		if err := deleteSnapshot(s.fs, s.opts.SnapshotDir, tenant); err != nil {
+		if err := s.snaps.remove(record.SnapshotFile(tenant)); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
@@ -722,18 +745,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			break
 		}
 		sess.mu.Lock()
-		if s.opts.SnapshotDir != "" && sess.dirty {
-			snap := snapshotOfLocked(sess)
-			//mdes:allow(lockcall) drain-time only: the server has stopped accepting ticks, and the session lock guarantees the snapshot is the final state
-			if err := saveSnapshot(s.fs, s.opts.SnapshotDir, sess.tenant, snap); err != nil {
-				s.met.snapshotErrors.Add(1)
-				if firstErr == nil {
-					firstErr = err
-				}
-			} else {
-				sess.dirty = false
-				s.met.snapshotWrites.Add(1)
-			}
+		//mdes:allow(lockcall) drain-time only: the server has stopped accepting ticks, and the session lock guarantees the snapshot is the final state
+		if err := s.persistLocked(sess); err != nil && firstErr == nil {
+			firstErr = err
 		}
 		sess.mu.Unlock()
 	}

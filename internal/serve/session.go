@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"mdes"
+	"mdes/internal/record"
 )
 
 // session is one tenant's online detector. Tick processing is serialised by
@@ -49,20 +50,17 @@ func (s *session) infoLocked() SessionInfo {
 	}
 }
 
-// newAdoptedSession builds the resident session for a promoted standby
-// copy: real restored state (degraded as it was), marked adopted and dirty
-// so the first release persists it into this replica's own snapshot store.
-func newAdoptedSession(tenant string, snap sessionSnapshot, stream *mdes.Stream) *session {
-	return &session{
-		tenant:    tenant,
-		model:     snap.Model,
-		stream:    stream,
-		lastScore: snap.LastScore,
-		degraded:  snap.Degraded,
-		adopted:   true,
-		dirty:     true,
-		lastUsed:  time.Now(),
-	}
+// encodeLocked encodes the session's record naming owner (see
+// record.Session.Owner). Caller holds s.mu.
+func (s *session) encodeLocked(owner string) ([]byte, error) {
+	return record.Encode(record.Session{
+		Tenant:    s.tenant,
+		Model:     s.model,
+		Owner:     owner,
+		Stream:    s.stream.Snapshot(),
+		LastScore: s.lastScore,
+		Degraded:  s.degraded,
+	})
 }
 
 // registry owns the tenant → session map. It only guards membership and

@@ -1,25 +1,19 @@
 package serve
 
 import (
-	"encoding/hex"
-	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
-	"io/fs"
 	"log"
 	"net/http"
-	"path/filepath"
-	"sort"
 	"strings"
 
 	"mdes/internal/cluster"
-	"mdes/internal/faultfs"
+	"mdes/internal/record"
 )
 
 // Warm-standby replication: after every durable local snapshot save, the
-// owner asynchronously ships the snapshot to the tenant's ring successor,
-// which persists it in a standby store keyed by (owner, tenant). The copy is
+// owner asynchronously ships the same record bytes to the tenant's ring
+// successor, which stores them verbatim in a standby store keyed by
+// (owner, tenant). The copy is
 // pure insurance — it is never served while the owner is reachable — and
 // buys exactly one thing: when the owner's disk is lost (or the owner is
 // partitioned away), the standby can promote the tenant and keep the stream
@@ -41,129 +35,47 @@ import (
 //     dropped copy degrades the standby's freshness, never the tick path.
 //     The local snapshot remains the durable source of truth.
 
-// standbyPath names a standby copy. Both owner and tenant are hex-encoded
-// (same reasoning as snapshotPath) and joined with "-", which cannot appear
-// in hex, so the mapping is bijective. The store is one flat directory:
-// faultfs.FS has no Mkdir, and a flat namespace keeps the injected
-// filesystem and the real one behaviourally identical.
-func standbyPath(dir, owner, tenant string) string {
-	return filepath.Join(dir, hex.EncodeToString([]byte(owner))+"-"+hex.EncodeToString([]byte(tenant))+".standby")
-}
-
-// saveStandbyFrame durably stores one replicated record, already in its
-// CRC-framed wire form — the frame that survived the network CRC check is
-// byte-for-byte the frame on disk, so there is no re-encode step to corrupt.
-func saveStandbyFrame(fsys faultfs.FS, dir, owner, tenant string, frame []byte) error {
-	return writeDurable(fsys, dir, standbyPath(dir, owner, tenant), frame)
-}
-
-// loadStandby reads a standby copy if one exists. Missing files and torn or
-// CRC-broken frames are (zero, false, nil) — a broken copy is as useless as
-// an absent one, and the caller treats both as "no standby state".
-func loadStandby(fsys faultfs.FS, dir, owner, tenant string) (cluster.Handoff, bool, error) {
-	data, err := fsys.ReadFile(standbyPath(dir, owner, tenant))
-	if errors.Is(err, fs.ErrNotExist) {
-		return cluster.Handoff{}, false, nil
-	}
-	if err != nil {
-		return cluster.Handoff{}, false, fmt.Errorf("serve: read standby copy for %q: %w", tenant, err)
-	}
-	h, err := cluster.DecodeHandoff(data)
-	if errors.Is(err, cluster.ErrBadFrame) {
-		return cluster.Handoff{}, false, nil
-	}
-	if err != nil {
-		return cluster.Handoff{}, false, fmt.Errorf("serve: decode standby copy for %q: %w", tenant, err)
-	}
-	return h, true, nil
-}
-
-// standbyTenantsFor lists the tenants with a standby copy held for owner.
-func standbyTenantsFor(fsys faultfs.FS, dir, owner string) ([]string, error) {
-	names, err := fsys.ReadDir(dir)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("serve: list standby store: %w", err)
-	}
-	prefix := hex.EncodeToString([]byte(owner)) + "-"
-	var tenants []string
-	for _, name := range names {
-		hexName, ok := strings.CutSuffix(name, ".standby")
-		if !ok {
-			continue
-		}
-		rest, ok := strings.CutPrefix(hexName, prefix)
-		if !ok {
-			continue
-		}
-		raw, err := hex.DecodeString(rest)
-		if err != nil {
-			continue
-		}
-		tenants = append(tenants, string(raw))
-	}
-	sort.Strings(tenants)
-	return tenants, nil
-}
-
-// deleteStandby removes a standby copy durably; missing files are fine.
-func deleteStandby(fsys faultfs.FS, dir, owner, tenant string) error {
-	err := fsys.Remove(standbyPath(dir, owner, tenant))
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return err
-	}
-	if err == nil {
-		return fsys.SyncDir(dir)
-	}
-	return nil
-}
-
-// replicateLocked offers the just-persisted snapshot to the tenant's
-// standby. Called from persistLocked with the session mutex held, which is
-// why everything here must be lock-free and IO-free from the queue's point
-// of view: Offer is a bounded map update, and the actual ship happens on the
-// queue's drainer goroutines. The handoff's From field names the tenant's
-// ring OWNER (not necessarily this replica): the receiver keys its store by
-// it, so a copy of adopted state forwarded by a standby still files under
-// the true owner and ships home when that owner revives.
-func (s *Server) replicateLocked(tenant string, snap sessionSnapshot) {
-	cn, q := s.cluster, s.repl
-	if cn == nil || q == nil {
-		return
+// replicaOf resolves, under the current view, the tenant's ring owner and
+// the peer its standby copy ships to: the owner's ring successor among Alive
+// peers other than this replica. Both are "" unless replication is on;
+// target is "" when there is nowhere to replicate. The owner is the
+// tenant's ring OWNER, not necessarily this replica: receivers key their
+// stores by it, so a copy of adopted state forwarded by a standby still
+// files under the true owner and ships home when that owner revives.
+func (s *Server) replicaOf(tenant string) (owner, target string) {
+	cn := s.cluster
+	if cn == nil || s.repl == nil {
+		return "", ""
 	}
 	states := cn.mem.Snapshot()
-	owner := cn.ring.OwnerAmong(tenant, func(p string) bool {
+	owner = cn.ring.OwnerAmong(tenant, func(p string) bool {
 		st := states[p]
 		return st == cluster.Alive || st == cluster.Down
 	})
 	if owner == "" {
 		owner = cn.self
 	}
-	target := cn.ring.SuccessorAmong(tenant, owner, func(p string) bool {
+	target = cn.ring.SuccessorAmong(tenant, owner, func(p string) bool {
 		return p != cn.self && states[p] == cluster.Alive
 	})
-	if target == "" {
-		return // nowhere to replicate (single replica, or everyone else down)
-	}
-	payload, err := json.Marshal(snap)
-	if err != nil {
-		return // the durable local save already succeeded; skip this copy
-	}
-	q.Offer(target, cluster.Handoff{
-		Tenant:  tenant,
-		Model:   snap.Model,
-		Ticks:   snap.Stream.Ticks,
-		From:    owner,
-		Payload: payload,
-	})
+	return owner, target
 }
 
-// handleReplicate is POST /v1/cluster/replicate: persist one peer's snapshot
-// copy in the standby store. Same framing and Ticks-idempotency as a
-// handoff, but no session is installed and ownership does not move. The
-// frame is stored verbatim after the CRC check.
+// offer hands one encoded record to the replication queue for target, as
+// resolved by replicaOf ("" skips). Offer is a bounded map update — no IO,
+// no blocking — so it is safe under the session mutex; the ship happens on
+// the queue's drainer goroutines.
+func (s *Server) offer(target, tenant string, ticks int, frame []byte) {
+	if target != "" {
+		s.repl.Offer(target, cluster.Handoff{Tenant: tenant, Ticks: ticks, Body: frame})
+	}
+}
+
+// handleReplicate is POST /v1/cluster/replicate: persist one peer's record
+// in the standby store, keyed by the owner it names. Same framing and
+// Ticks-idempotency as a handoff, but no session is installed and ownership
+// does not move. Only the record's header is decoded; the body is stored
+// verbatim after the CRC check.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	if s.cluster == nil || s.opts.StandbyDir == "" {
 		// Terminal on purpose: a peer without a standby store will never
@@ -171,39 +83,37 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "standby store not configured", http.StatusNotFound)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxHandoffBody))
-	if err != nil {
-		s.retryAfterHeader(w)
-		http.Error(w, fmt.Sprintf("read replicate body: %v", err), http.StatusServiceUnavailable)
+	body, ok := s.readClusterBody(w, r)
+	if !ok {
 		return
 	}
-	h, err := cluster.DecodeHandoff(body)
-	if errors.Is(err, cluster.ErrBadFrame) {
+	h, trailing, err := record.DecodeHeader(body)
+	if errors.Is(err, record.ErrTorn) || (err == nil && trailing) {
 		// Transmission damage: the sender's copy is intact, so ask for a
 		// retry rather than answering with a terminal 4xx.
 		s.retryAfterHeader(w)
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+		http.Error(w, record.ErrTorn.Error(), http.StatusServiceUnavailable)
 		return
 	}
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if h.From == "" {
+	if h.Owner == "" {
 		http.Error(w, "replicate without owner", http.StatusBadRequest)
 		return
 	}
-	if old, ok, err := loadStandby(s.fs, s.opts.StandbyDir, h.From, h.Tenant); err != nil {
+	if _, old, ok, err := standbyCopy(s.standby, h.Owner, h.Tenant); err != nil {
 		s.met.replStoreErrors.Add(1)
 		s.retryAfterHeader(w)
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 		return
-	} else if ok && old.Ticks >= h.Ticks {
+	} else if ok && old.Stream.Ticks >= h.Stream.Ticks {
 		// Duplicate or reordered ship: the held copy is as fresh or fresher.
 		w.WriteHeader(http.StatusOK)
 		return
 	}
-	if err := saveStandbyFrame(s.fs, s.opts.StandbyDir, h.From, h.Tenant, body); err != nil {
+	if err := s.standby.write(record.StandbyFile(h.Owner, h.Tenant), body); err != nil {
 		s.met.replStoreErrors.Add(1)
 		s.retryAfterHeader(w)
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
@@ -255,7 +165,7 @@ func (s *Server) tryAdopt(tenant, owner string) bool {
 		}
 		sess.mu.Unlock()
 	}
-	h, ok, err := loadStandby(s.fs, s.opts.StandbyDir, owner, tenant)
+	data, _, ok, err := standbyCopy(s.standby, owner, tenant)
 	if err != nil {
 		s.met.replStoreErrors.Add(1)
 		return false
@@ -263,21 +173,17 @@ func (s *Server) tryAdopt(tenant, owner string) bool {
 	if !ok {
 		return false
 	}
-	var snap sessionSnapshot
-	if err := json.Unmarshal(h.Payload, &snap); err != nil || snap.Tenant != tenant {
-		s.met.replStoreErrors.Add(1)
-		return false
-	}
-	model, found := s.opts.Models[snap.Model]
-	if !found {
-		return false
-	}
-	stream, err := model.RestoreStream(snap.Stream)
+	rec, _, err := record.Decode(data)
 	if err != nil {
 		s.met.replStoreErrors.Add(1)
 		return false
 	}
-	stream.SetScorer(s.scorer)
+	sess, err := s.restore(rec)
+	if err != nil {
+		s.met.replStoreErrors.Add(1)
+		return false
+	}
+	sess.adopted, sess.dirty = true, true
 
 	s.reg.mu.Lock()
 	if existing := s.reg.sessions[tenant]; existing != nil {
@@ -291,12 +197,11 @@ func (s *Server) tryAdopt(tenant, owner string) bool {
 		existing.mu.Unlock()
 		return won
 	}
-	sess := newAdoptedSession(tenant, snap, stream)
 	s.reg.sessions[tenant] = sess
 	s.reg.mu.Unlock()
 
 	s.met.replPromotions.Add(1)
-	log.Printf("serve: promoted tenant %q from standby copy of %s at %d ticks", tenant, owner, snap.Stream.Ticks)
+	log.Printf("serve: promoted tenant %q from standby copy of %s at %d ticks", tenant, owner, rec.Stream.Ticks)
 	return true
 }
 
@@ -332,15 +237,19 @@ func (s *Server) standbyHeldCount() int {
 }
 
 // loadSnapshotNoted is loadSnapshot plus torn-snapshot observability: a
-// snapshot that silently fresh-starts because its frame was torn or failed
-// its CRC is counted and logged. (It used to be fully silent; a disk-level
-// corruption then looks exactly like a tenant that never existed, which
-// costs someone a confused debugging session.)
-func (s *Server) loadSnapshotNoted(tenant string) (sessionSnapshot, bool, error) {
-	snap, ok, torn, err := loadSnapshot(s.fs, s.opts.SnapshotDir, tenant)
-	if torn {
+// torn snapshot is counted and logged, with the outcome it leads to. (It
+// used to be fully silent; a disk-level corruption then looks exactly like a
+// tenant that never existed, which costs someone a confused debugging
+// session.)
+func (s *Server) loadSnapshotNoted(tenant string) (record.Session, bool, error) {
+	rec, ok, torn, err := loadSnapshot(s.snaps, tenant)
+	switch {
+	case torn && ok:
+		s.met.snapshotTorn.Add(1)
+		log.Printf("serve: snapshot for tenant %q has trailing bytes after an intact record; restoring at %d ticks", tenant, rec.Stream.Ticks)
+	case torn:
 		s.met.snapshotTorn.Add(1)
 		log.Printf("serve: snapshot for tenant %q is torn or corrupt; serving will fresh-start from zero ticks", tenant)
 	}
-	return snap, ok, err
+	return rec, ok, err
 }

@@ -3,20 +3,26 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/json"
+	"encoding/base64"
 	"errors"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
 	"math/rand"
 	"net/http"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"mdes"
 	"mdes/internal/cluster"
 	"mdes/internal/faultfs"
+	"mdes/internal/record"
 )
 
 // standbyCluster builds an n-replica cluster with warm-standby replication
@@ -44,85 +50,133 @@ func (tc *testCluster) standbyIdx(tenant string) int {
 }
 
 // waitStandbyCopy polls replica i's standby store until a copy of tenant
-// (owned by owner) with at least wantTicks arrives.
-func waitStandbyCopy(t *testing.T, tc *testCluster, i int, owner, tenant string, wantTicks int) cluster.Handoff {
+// (owned by owner) with at least wantTicks arrives, returning its bytes.
+func waitStandbyCopy(t *testing.T, tc *testCluster, i int, owner, tenant string, wantTicks int) []byte {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		h, ok, err := loadStandby(tc.srvs[i].fs, tc.srvs[i].opts.StandbyDir, owner, tenant)
+		data, h, ok, err := standbyCopy(tc.srvs[i].standby, owner, tenant)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ok && h.Ticks >= wantTicks {
-			return h
+		if ok && h.Stream.Ticks >= wantTicks {
+			return data
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("standby copy of %q never reached %d ticks on replica %d (ok=%v ticks=%d)", tenant, wantTicks, i, ok, h.Ticks)
+			t.Fatalf("standby copy of %q never reached %d ticks on replica %d (ok=%v ticks=%d)", tenant, wantTicks, i, ok, h.Stream.Ticks)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 }
 
+// legacyStandby is a standby copy as the envelope format before the session
+// record wrote it: a frame around {tenant, model, ticks, from, payload},
+// the payload the session snapshot at 12 ticks, filed for owner
+// "http://owner:1".
+const legacyStandby = "PgEAAHDLv4J7InRlbmFudCI6ImxlZ2FjeSIsIm1vZGVsIjoiZGVmYXVsdCIsInRpY2tzIjoxMiwiZnJvbSI6Imh0dHA6Ly9vd25lcjoxIiwicGF5bG9hZCI6eyJ0ZW5hbnQiOiJsZWdhY3kiLCJtb2RlbCI6ImRlZmF1bHQiLCJzdHJlYW0iOnsidGlja3MiOjEyLCJlbWl0dGVkIjoxLCJ3aW5kb3dzIjp7ImEiOlsiT04iLCJPTiIsIk9OIiwiT0ZGIiwiT0ZGIiwiT0ZGIiwiT0ZGIiwiT0ZGIl0sImIiOlsiT04iLCJPTiIsIk9OIiwiT04iLCJPRkYiLCJPRkYiLCJPRkYiLCJPRkYiXSwiYyI6WyJPRkYiLCJPRkYiLCJPRkYiLCJPRkYiLCJPTiIsIk9OIiwiT0ZGIiwiT04iXX19fX0="
+
 func TestStandbyStoreRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	h := cluster.Handoff{Tenant: "plant-a", Model: "default", Ticks: 42, From: "http://owner:1", Payload: []byte(`{"x":1}`)}
-	frame, err := cluster.EncodeHandoff(h)
+	st := store{fs: faultfs.OS, dir: t.TempDir()}
+	owner := "http://owner:1"
+	rec := record.Session{Tenant: "plant-a", Model: "default", Owner: owner, Stream: mdes.StreamSnapshot{Ticks: 42}}
+	frame, err := record.Encode(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := saveStandbyFrame(faultfs.OS, dir, h.From, h.Tenant, frame); err != nil {
+	if err := st.write(record.StandbyFile(owner, rec.Tenant), frame); err != nil {
 		t.Fatal(err)
 	}
 
-	got, ok, err := loadStandby(faultfs.OS, dir, h.From, h.Tenant)
+	got, h, ok, err := standbyCopy(st, owner, rec.Tenant)
 	if err != nil || !ok {
-		t.Fatalf("loadStandby: ok=%v err=%v", ok, err)
+		t.Fatalf("standbyCopy: ok=%v err=%v", ok, err)
 	}
-	if !reflect.DeepEqual(got, h) {
-		t.Fatalf("round-trip mismatch: got %+v want %+v", got, h)
+	if !bytes.Equal(got, frame) || h.Stream.Ticks != 42 || h.Owner != owner {
+		t.Fatalf("round-trip mismatch: header %+v, bytes equal %v", h, bytes.Equal(got, frame))
 	}
 
 	// A second owner's copy of the same tenant name must not collide.
-	h2 := h
-	h2.From = "http://other:1"
-	h2.Ticks = 7
-	frame2, _ := cluster.EncodeHandoff(h2)
-	if err := saveStandbyFrame(faultfs.OS, dir, h2.From, h2.Tenant, frame2); err != nil {
+	rec2 := rec
+	rec2.Owner, rec2.Stream.Ticks = "http://other:1", 7
+	frame2, _ := record.Encode(rec2)
+	if err := st.write(record.StandbyFile(rec2.Owner, rec2.Tenant), frame2); err != nil {
 		t.Fatal(err)
 	}
-	if got, _, _ := loadStandby(faultfs.OS, dir, h.From, h.Tenant); got.Ticks != 42 {
-		t.Fatalf("owner A's copy clobbered by owner B's: ticks=%d", got.Ticks)
+	if _, h, _, _ := standbyCopy(st, owner, rec.Tenant); h.Stream.Ticks != 42 {
+		t.Fatalf("owner A's copy clobbered by owner B's: ticks=%d", h.Stream.Ticks)
 	}
 
-	tenants, err := standbyTenantsFor(faultfs.OS, dir, h.From)
+	held := func(name string) (string, bool) { return record.StandbyTenant(owner, name) }
+	tenants, err := st.tenants(held)
 	if err != nil || !reflect.DeepEqual(tenants, []string{"plant-a"}) {
-		t.Fatalf("standbyTenantsFor = %v, %v", tenants, err)
+		t.Fatalf("tenants = %v, %v", tenants, err)
+	}
+
+	// A record filed under an owner it does not name is no copy.
+	if err := st.write(record.StandbyFile(owner, rec.Tenant), frame2); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok, err := standbyCopy(st, owner, rec.Tenant); ok || err != nil {
+		t.Fatalf("misfiled standby copy: ok=%v err=%v, want clean miss", ok, err)
 	}
 
 	// Torn copy: truncate the frame mid-body; load must report a clean miss.
-	path := standbyPath(dir, h.From, h.Tenant)
+	path := filepath.Join(st.dir, record.StandbyFile(owner, rec.Tenant))
 	if err := os.WriteFile(path, frame[:len(frame)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := loadStandby(faultfs.OS, dir, h.From, h.Tenant); ok || err != nil {
+	if _, _, ok, err := standbyCopy(st, owner, rec.Tenant); ok || err != nil {
 		t.Fatalf("torn standby copy: ok=%v err=%v, want clean miss", ok, err)
 	}
 
-	if err := deleteStandby(faultfs.OS, dir, h.From, h.Tenant); err != nil {
+	if err := st.remove(record.StandbyFile(owner, rec.Tenant)); err != nil {
 		t.Fatal(err)
 	}
-	if err := deleteStandby(faultfs.OS, dir, h.From, h.Tenant); err != nil {
+	if err := st.remove(record.StandbyFile(owner, rec.Tenant)); err != nil {
 		t.Fatalf("double delete: %v", err)
 	}
-	tenants, _ = standbyTenantsFor(faultfs.OS, dir, h.From)
+	tenants, _ = st.tenants(held)
 	if len(tenants) != 0 {
 		t.Fatalf("tenants after delete = %v", tenants)
 	}
 }
 
-// TestReplicationShipsToSuccessor: pushing ticks replicates the snapshot to
-// the tenant's ring successor, keyed by the owner, matching the owner's own
-// durable snapshot tick for tick.
+// TestLegacyStandbyIsNoCopy: a standby copy in the envelope format that
+// predates the session record names no owner, so it reads as no copy — the
+// successor never promotes it and never ships it home as state.
+func TestLegacyStandbyIsNoCopy(t *testing.T) {
+	legacy, err := base64.StdEncoding.DecodeString(legacyStandby)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := standbyCluster(t, 3)
+	tenant := tc.tenantOwnedBy(0, "legacy")
+	sbIdx := tc.standbyIdx(tenant)
+	sb, owner := tc.srvs[sbIdx], tc.urls[0]
+	// Same envelope, re-filed for this cluster's owner and tenant.
+	if err := sb.standby.write(record.StandbyFile(owner, tenant), legacy); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok, err := standbyCopy(sb.standby, owner, tenant); ok || err != nil {
+		t.Fatalf("legacy standby copy: ok=%v err=%v, want no copy", ok, err)
+	}
+	if err := sb.shipTenant(context.Background(), owner, tenant); err != nil {
+		t.Fatalf("shipTenant: %v", err)
+	}
+	if got := sb.met.clusterHandoffsSent.Load(); got != 0 {
+		t.Fatalf("legacy copy shipped as state: %d handoffs sent", got)
+	}
+	tc.srvs[0].cluster.mem.Set(owner, cluster.Down)
+	sb.cluster.mem.Set(owner, cluster.Down)
+	if sb.tryAdopt(tenant, owner) {
+		t.Fatal("legacy copy promoted")
+	}
+}
+
+// TestReplicationShipsToSuccessor: pushing ticks replicates the owner's
+// snapshot to the tenant's ring successor, keyed by the owner — the very
+// bytes of the owner's snapshot file, because session state is encoded
+// once per persist, and only by the record codec.
 func TestReplicationShipsToSuccessor(t *testing.T) {
 	tc := standbyCluster(t, 3)
 	client := tc.client()
@@ -136,17 +190,13 @@ func TestReplicationShipsToSuccessor(t *testing.T) {
 	if _, err := client.PushTicksRetry(context.Background(), tenant, ticksOf(ds, 0, 24)); err != nil {
 		t.Fatal(err)
 	}
-	h := waitStandbyCopy(t, tc, sbIdx, tc.urls[ownerIdx], tenant, 24)
-	if h.From != tc.urls[ownerIdx] {
-		t.Fatalf("standby copy keyed by %q, want owner %q", h.From, tc.urls[ownerIdx])
-	}
-	var snap sessionSnapshot
-	if err := json.Unmarshal(h.Payload, &snap); err != nil {
+	standby := waitStandbyCopy(t, tc, sbIdx, tc.urls[ownerIdx], tenant, 24)
+	snap, err := tc.srvs[ownerIdx].snaps.read(record.SnapshotFile(tenant))
+	if err != nil {
 		t.Fatal(err)
 	}
-	want := snapshotOnDisk(t, tc, ownerIdx, tenant)
-	if !reflect.DeepEqual(snap, want) {
-		t.Fatalf("replicated snapshot differs from the owner's durable one:\n got %+v\nwant %+v", snap, want)
+	if !bytes.Equal(standby, snap) {
+		t.Fatalf("standby copy is not the owner's snapshot file byte for byte:\n got %q\nwant %q", standby, snap)
 	}
 
 	// Non-successor replicas hold nothing for this tenant.
@@ -154,10 +204,67 @@ func TestReplicationShipsToSuccessor(t *testing.T) {
 		if i == sbIdx {
 			continue
 		}
-		if _, ok, _ := loadStandby(tc.srvs[i].fs, tc.srvs[i].opts.StandbyDir, tc.urls[ownerIdx], tenant); ok {
+		if _, _, ok, _ := standbyCopy(tc.srvs[i].standby, tc.urls[ownerIdx], tenant); ok {
 			t.Fatalf("replica %d holds a standby copy; only %d should", i, sbIdx)
 		}
 	}
+
+	// The other half of "encoded once": outside the record codec, no code
+	// in the packages that move session state calls encoding/json's
+	// Marshal or Unmarshal except on the wire types listed here.
+	allowed := map[string]bool{
+		"serve/wire.go:decodeTick":               true, // one NDJSON tick
+		"serve/client.go:decodePoints":           true, // detection points, error trailer
+		"cluster/handoff.go:SendUpdate":          true, // peer announcement
+		"chaos/journal.go:OpenJournalNoTruncate": true, // the training journal under test
+		"chaos/journal.go:Append":                true,
+		"chaos/chaos.go:modelChecksum":           true, // model bytes under test
+	}
+	for _, site := range jsonCallSites(t, "../serve", "../cluster", "../chaos") {
+		if !allowed[site] {
+			t.Errorf("json.Marshal/Unmarshal at %s: session state must go through the record codec", site)
+		}
+	}
+}
+
+// jsonCallSites lists "pkg/file.go:func" for every encoding/json Marshal or
+// Unmarshal call in the non-test files of dirs.
+func jsonCallSites(t *testing.T, dirs ...string) []string {
+	t.Helper()
+	var sites []string
+	fset := token.NewFileSet()
+	for _, dir := range dirs {
+		names, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range names {
+			if strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, name, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					sel, ok := n.(*ast.SelectorExpr)
+					if !ok {
+						return true
+					}
+					if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "json" && strings.Contains(sel.Sel.Name, "arshal") {
+						sites = append(sites, filepath.Base(dir)+"/"+filepath.Base(name)+":"+fd.Name.Name)
+					}
+					return true
+				})
+			}
+		}
+	}
+	return sites
 }
 
 // TestHandleReplicateIdempotent: a stale or duplicate ship must not regress
@@ -170,8 +277,8 @@ func TestHandleReplicateIdempotent(t *testing.T) {
 
 	ship := func(ticks int, mangle func([]byte) []byte) *http.Response {
 		t.Helper()
-		h := cluster.Handoff{Tenant: "idem", Model: "default", Ticks: ticks, From: owner, Payload: []byte(fmt.Sprintf(`{"ticks":%d}`, ticks))}
-		frame, err := cluster.EncodeHandoff(h)
+		// Only the header is read on receipt; the windows need not restore.
+		frame, err := record.Encode(record.Session{Tenant: "idem", Model: "default", Owner: owner, Stream: mdes.StreamSnapshot{Ticks: ticks}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,6 +293,14 @@ func TestHandleReplicateIdempotent(t *testing.T) {
 		resp.Body.Close()
 		return resp
 	}
+	held := func() int {
+		t.Helper()
+		_, h, ok, err := standbyCopy(tc.srvs[1].standby, owner, "idem")
+		if err != nil || !ok {
+			t.Fatalf("no held copy: ok=%v err=%v", ok, err)
+		}
+		return h.Stream.Ticks
+	}
 
 	if resp := ship(10, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("first ship: %s", resp.Status)
@@ -193,15 +308,14 @@ func TestHandleReplicateIdempotent(t *testing.T) {
 	if resp := ship(5, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("stale ship: %s", resp.Status)
 	}
-	h, ok, err := loadStandby(tc.srvs[1].fs, tc.srvs[1].opts.StandbyDir, owner, "idem")
-	if err != nil || !ok || h.Ticks != 10 {
-		t.Fatalf("held copy after stale ship: ok=%v ticks=%d err=%v, want 10", ok, h.Ticks, err)
+	if got := held(); got != 10 {
+		t.Fatalf("held copy after stale ship at %d ticks, want 10", got)
 	}
 	if resp := ship(20, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("fresher ship: %s", resp.Status)
 	}
-	if h, _, _ := loadStandby(tc.srvs[1].fs, tc.srvs[1].opts.StandbyDir, owner, "idem"); h.Ticks != 20 {
-		t.Fatalf("fresher ship not applied: ticks=%d", h.Ticks)
+	if got := held(); got != 20 {
+		t.Fatalf("fresher ship not applied: ticks=%d", got)
 	}
 
 	// Torn mid-body: transmission damage is retryable, and the held copy
@@ -210,8 +324,35 @@ func TestHandleReplicateIdempotent(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
 		t.Fatalf("torn ship: %s (Retry-After %q), want 503 with a hint", resp.Status, resp.Header.Get("Retry-After"))
 	}
-	if h, _, _ := loadStandby(tc.srvs[1].fs, tc.srvs[1].opts.StandbyDir, owner, "idem"); h.Ticks != 20 {
-		t.Fatalf("torn ship mutated the held copy: ticks=%d", h.Ticks)
+	if got := held(); got != 20 {
+		t.Fatalf("torn ship mutated the held copy: ticks=%d", got)
+	}
+}
+
+// zeros is an endless reader of zero bytes.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
+}
+
+// TestClusterBodyTooLarge: a handoff or replication body one byte over the
+// cap is answered 413 — terminal for the sender — not cut short into a CRC
+// failure that draws a retryable 503 for a request that can never succeed.
+func TestClusterBodyTooLarge(t *testing.T) {
+	tc := standbyCluster(t, 2)
+	for _, path := range []string{cluster.HandoffPath, cluster.ReplicatePath} {
+		body := io.LimitReader(zeros{}, maxHandoffBody+1)
+		resp, err := http.Post(tc.urls[1]+path, "application/octet-stream", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s with a %d-byte body: %s, want 413", path, maxHandoffBody+1, resp.Status)
+		}
 	}
 }
 
@@ -352,15 +493,11 @@ func TestStandbyShipHomeOnlyFromSuccessor(t *testing.T) {
 	if _, err := client.PushTicksRetry(context.Background(), tenant, ticksOf(ds, 0, 12)); err != nil {
 		t.Fatal(err)
 	}
-	h12 := waitStandbyCopy(t, tc, sbIdx, tc.urls[0], tenant, 12)
+	frame := waitStandbyCopy(t, tc, sbIdx, tc.urls[0], tenant, 12)
 	// Plant the @12 copy on the third replica — the shape a standby-of-
 	// standby forward leaves behind — then advance the successor to @24.
-	frame, err := cluster.EncodeHandoff(h12)
-	if err != nil {
-		t.Fatal(err)
-	}
 	third := tc.srvs[thirdIdx]
-	if err := saveStandbyFrame(third.fs, third.opts.StandbyDir, tc.urls[0], tenant, frame); err != nil {
+	if err := third.standby.write(record.StandbyFile(tc.urls[0], tenant), frame); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := client.PushTicksRetry(context.Background(), tenant, ticksOf(ds, 12, 24)); err != nil {
@@ -376,7 +513,7 @@ func TestStandbyShipHomeOnlyFromSuccessor(t *testing.T) {
 	if got := third.met.replShipsHome.Load(); got != 0 {
 		t.Fatalf("third replica shipped home %d copies, want 0", got)
 	}
-	if _, ok, _ := loadStandby(third.fs, third.opts.StandbyDir, tc.urls[0], tenant); !ok {
+	if _, _, ok, _ := standbyCopy(third.standby, tc.urls[0], tenant); !ok {
 		t.Fatal("gated ship deleted the third replica's copy")
 	}
 
@@ -390,12 +527,12 @@ func TestStandbyShipHomeOnlyFromSuccessor(t *testing.T) {
 	if got := sb.met.replShipsHome.Load(); got != 1 {
 		t.Fatalf("successor ships home = %d, want 1", got)
 	}
-	kept, ok, err := loadStandby(sb.fs, sb.opts.StandbyDir, tc.urls[0], tenant)
+	_, kept, ok, err := standbyCopy(sb.standby, tc.urls[0], tenant)
 	if err != nil || !ok {
 		t.Fatalf("successor's warm copy dropped by the acked ship (ok=%v err=%v)", ok, err)
 	}
-	if kept.Ticks != 24 {
-		t.Fatalf("retained copy at %d ticks, want 24", kept.Ticks)
+	if kept.Stream.Ticks != 24 {
+		t.Fatalf("retained copy at %d ticks, want 24", kept.Stream.Ticks)
 	}
 }
 
@@ -552,7 +689,7 @@ func TestTornSnapshotCounted(t *testing.T) {
 	srv.Shutdown(context.Background())
 
 	// Tear the snapshot mid-frame.
-	path := snapshotPath(dir, tenant)
+	path := filepath.Join(dir, record.SnapshotFile(tenant))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
